@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
       config.splicer = "4s";
       config.policy = policy;
       config.bandwidth = Rate::kilobytes_per_second(256);
-      config.loop_threads = opts.loop_threads;
       if (lifetime_s > 0) {
         config.churn = true;
         config.churn_mean_lifetime = Duration::seconds(lifetime_s);

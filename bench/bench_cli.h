@@ -5,17 +5,6 @@
 //                             one per hardware thread; default 1 =
 //                             serial). Results and output files are
 //                             byte-identical at any job count.
-//   --loop-threads N          execution lanes inside each simulation's
-//                             event loop ("auto" = one per hardware
-//                             thread; default = VSPLICE_LOOP_THREADS
-//                             from the environment, serial when unset).
-//                             Orthogonal to --jobs: --jobs parallelizes
-//                             across sweep cells, --loop-threads inside
-//                             one run. Results are byte-identical at any
-//                             value; N beyond the hardware thread count
-//                             is rejected here (oversubscription only
-//                             slows the loop down — the library itself
-//                             allows it for the determinism tests).
 //   --trace BASE              per-cell JSONL event traces
 //   --trace-chrome OUT.json   chrome://tracing / Perfetto span timeline
 //                             of the representative run (implies span
@@ -41,7 +30,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -58,7 +46,6 @@ struct BenchOptions {
   double sample_interval_s = 0.0;  // 0 = scenario default (1 s)
   double control_epoch_s = 0.0;    // 0 = unbatched control plane
   int jobs = 1;                    // sweep worker threads; 0 = auto
-  int loop_threads = 0;            // lanes per simulation; 0 = env default
   bool profile = false;            // profiler on the representative run
   bool parsed = true;              // false after a usage error
 
@@ -70,17 +57,13 @@ struct BenchOptions {
 
 inline void print_bench_usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s [--jobs N] [--loop-threads N] [--trace BASE] "
+               "usage: %s [--jobs N] [--trace BASE] "
                "[--report OUT.html] [--snapshot OUT.json]\n"
                "          [--trace-chrome OUT.json] "
                "[--sample-interval SECONDS] [--control-epoch SECONDS] "
                "[--log-level LEVEL]\n"
                "  --jobs N          run sweep cells on N threads (N >= 1, "
-               "or \"auto\" for one per hardware thread)\n"
-               "  --loop-threads N  execution lanes inside each "
-               "simulation's event loop (N >= 1 up to the\n"
-               "                    hardware thread count, or \"auto\"); "
-               "results are byte-identical at any N\n",
+               "or \"auto\" for one per hardware thread)\n",
                prog);
 }
 
@@ -104,28 +87,6 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
           return opts;
         }
         opts.jobs = static_cast<int>(*parsed);
-      }
-    } else if (arg == "--loop-threads" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      // Fail fast above the hardware thread count: oversubscribed lanes
-      // only add contention (results would still be identical — the
-      // library allows it so the determinism tests can oversubscribe).
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      if (value == "auto") {
-        opts.loop_threads = static_cast<int>(hw);
-      } else {
-        const auto parsed = parse_int(value);
-        if (!parsed || *parsed < 1 ||
-            *parsed > static_cast<std::int64_t>(hw)) {
-          std::fprintf(stderr,
-                       "bad --loop-threads: %s (need an integer in 1..%u "
-                       "— this machine's hardware thread count — or "
-                       "\"auto\")\n",
-                       value.c_str(), hw);
-          opts.parsed = false;
-          return opts;
-        }
-        opts.loop_threads = static_cast<int>(*parsed);
       }
     } else if (arg == "--trace" && i + 1 < argc) {
       opts.trace_base = argv[++i];
@@ -190,7 +151,6 @@ inline void write_representative_report(experiments::ScenarioConfig config,
                                         const std::string& title) {
   if (!opts.wants_report() && !opts.profile) return;
   config.seed = std::uint64_t{1000003};
-  config.loop_threads = opts.loop_threads;
   config.report_html_path = opts.report_html;
   config.snapshot_json_path = opts.snapshot_json;
   config.trace_chrome_path = opts.trace_chrome;

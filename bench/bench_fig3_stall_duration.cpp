@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
 
   ScenarioConfig base;
   base.trace_path = opts.trace_base;
-  base.loop_threads = opts.loop_threads;
   const std::vector<Rate> bandwidths{
       Rate::kilobytes_per_second(128), Rate::kilobytes_per_second(256),
       Rate::kilobytes_per_second(512), Rate::kilobytes_per_second(768)};

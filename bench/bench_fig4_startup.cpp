@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
 
   ScenarioConfig base;
   base.trace_path = opts.trace_base;
-  base.loop_threads = opts.loop_threads;
   base.seeder_delay = Duration::millis(475);  // seeder<->peer: 500 ms one way
   const std::vector<Rate> bandwidths{
       Rate::kilobytes_per_second(128), Rate::kilobytes_per_second(256),

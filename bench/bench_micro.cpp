@@ -3,11 +3,10 @@
 // Two layers:
 //   1. A hand-timed "core" suite exercising the simulation hot path —
 //      star allocator vs the generic max-min reference, event-queue
-//      schedule/cancel churn, an end-to-end Figure-2-style sweep run
-//      serially and with the parallel runner, and the in-run parallel
-//      event loop (--loop-threads) checked byte-identical to serial and
-//      timed. Always runs, prints a summary, and writes BENCH_core.json
-//      (values + agreement checks) for regression tooling.
+//      schedule/cancel churn, and an end-to-end Figure-2-style sweep run
+//      serially and with the parallel runner. Always runs, prints a
+//      summary, and writes BENCH_core.json (values + agreement checks)
+//      for regression tooling.
 //   2. The google-benchmark micro suite of component throughputs.
 //
 //   ./bench_micro            core suite (full size) + google-benchmark
@@ -22,7 +21,6 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -379,90 +377,6 @@ void run_e2e_bench(bench::BenchResults& results, bool quick) {
                 "parallel sweep results identical to serial");
 }
 
-/// The deterministic counters a figure could be built from — the
-/// identity the parallel loop must preserve (speculation_* and
-/// scheduling_engine_ns are mode diagnostics, deliberately absent).
-std::vector<double> scenario_fingerprint(
-    const experiments::ScenarioResult& r) {
-  return {r.total_stalls,
-          r.total_stall_seconds,
-          r.mean_startup_seconds,
-          static_cast<double>(r.wall_time.count_micros()),
-          r.network_bytes_delivered,
-          static_cast<double>(r.events_fired),
-          static_cast<double>(r.memory_total_bytes),
-          static_cast<double>(r.segment_picks),
-          static_cast<double>(r.holder_picks),
-          static_cast<double>(r.candidates_scanned)};
-}
-
-void run_parallel_loop_bench(bench::BenchResults& results, bool quick) {
-  using namespace vsplice::experiments;
-  // The in-run parallel event loop (DESIGN.md §14): one scenario run
-  // serially, then with 2/4/8 execution lanes, byte-identical results
-  // required at every lane count. The speedup is only meaningful with
-  // real hardware parallelism, so the >= 2x gate engages when the
-  // machine has at least 8 hardware threads; the identity check always
-  // runs (oversubscribed lanes still must not change a single number).
-  ScenarioConfig config;
-  config.nodes = quick ? 200 : 2000;
-  config.time_limit = Duration::seconds(240.0);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  constexpr int kLanes = 8;
-
-  config.loop_threads = 1;
-  auto start = std::chrono::steady_clock::now();
-  const ScenarioResult serial = run_scenario(config);
-  const double serial_s = seconds_since(start);
-  const std::vector<double> want = scenario_fingerprint(serial);
-
-  bool identical = true;
-  double parallel_s = 0;
-  std::uint64_t adopted = 0;
-  std::uint64_t recomputed = 0;
-  for (const int lanes : {2, 4, kLanes}) {
-    config.loop_threads = lanes;
-    start = std::chrono::steady_clock::now();
-    const ScenarioResult parallel = run_scenario(config);
-    const double elapsed = seconds_since(start);
-    identical = identical && scenario_fingerprint(parallel) == want;
-    if (lanes == kLanes) {
-      parallel_s = elapsed;
-      adopted = parallel.speculation_adopted;
-      recomputed = parallel.speculation_recomputed;
-    }
-  }
-  const double speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
-  std::printf(
-      "parallel loop (%zu peers): serial %.2f s, %d lanes %.2f s (%.2fx, "
-      "%u hw threads), speculation %llu adopted / %llu recomputed\n",
-      config.nodes, serial_s, kLanes, parallel_s, speedup, hw,
-      static_cast<unsigned long long>(adopted),
-      static_cast<unsigned long long>(recomputed));
-  results.add_value("loop_threads", kLanes);
-  results.add_value("hardware_concurrency", hw);
-  results.add_value("parallel_loop_serial_s", serial_s);
-  results.add_value("parallel_loop_parallel_s", parallel_s);
-  results.add_value("parallel_loop_speedup", speedup);
-  results.add_value("parallel_loop_adopted", static_cast<double>(adopted));
-  results.add_value("parallel_loop_recomputed",
-                    static_cast<double>(recomputed));
-  results.check("parallel_matches_serial_loop", identical,
-                "scenario results identical at 1/2/4/8 loop threads");
-  if (hw >= static_cast<unsigned>(kLanes)) {
-    char text[120];
-    std::snprintf(text, sizeof text,
-                  "whole-run speedup >= 2x at %d loop threads (%.2fx)",
-                  kLanes, speedup);
-    results.check("parallel_loop_speedup_2x", speedup >= 2.0, text);
-  } else {
-    std::printf(
-        "  speedup gate skipped: %u hardware threads < %d lanes "
-        "(identity still checked)\n",
-        hw, kLanes);
-  }
-}
-
 int run_core_suite(bool quick) {
   std::printf("core performance suite (%s)\n", quick ? "quick" : "full");
   bench::BenchResults results{"core"};
@@ -471,7 +385,6 @@ int run_core_suite(bool quick) {
   run_profiler_overhead_bench(results, event_loop_ns, quick);
   run_span_overhead_bench(results, event_loop_ns, quick);
   run_e2e_bench(results, quick);
-  run_parallel_loop_bench(results, quick);
   results.write();
   return results.all_checks_passed() ? 0 : 1;
 }

@@ -10,16 +10,6 @@
 //   --jobs N              additionally run the paper's three-repetition
 //                         average on N worker threads ("auto" = one per
 //                         hardware thread; default 1 = single run only)
-//   --loop-threads N      execution lanes inside the simulation's event
-//                         loop ("auto" = one per hardware thread;
-//                         default 1 = the serial loop; also honoured via
-//                         VSPLICE_LOOP_THREADS). Figures, traces and
-//                         snapshots are byte-identical at any value;
-//                         values above the hardware thread count are
-//                         rejected (oversubscription only adds
-//                         contention). Compatible with
-//                         VSPLICE_WIRE_ROUNDTRIP=1 — the wire-format
-//                         oracle runs on the commit thread.
 //   --trace PATH          write a JSONL event trace of the swarm run
 //                         (also honoured via the VSPLICE_TRACE env var)
 //   --trace-chrome PATH   write a chrome://tracing / Perfetto trace of
@@ -43,11 +33,9 @@
 //   --log-level LEVEL     debug|info|warn|error|off; wins over
 //                         VSPLICE_LOG_LEVEL
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/log.h"
@@ -75,7 +63,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool spans = false;
   int jobs = 1;
-  int loop_threads = 0;  // 0 = VSPLICE_LOOP_THREADS, else serial
 
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -125,29 +112,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         jobs = static_cast<int>(*parsed);
-      }
-    } else if (arg == "--loop-threads" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      // Fail fast above the hardware thread count: extra lanes cannot
-      // change results (they are byte-identical at any count) and only
-      // add contention; the library itself permits oversubscription so
-      // the determinism tests can run many lanes on few cores.
-      const unsigned hw =
-          std::max(1u, std::thread::hardware_concurrency());
-      if (value == "auto") {
-        loop_threads = static_cast<int>(hw);
-      } else {
-        const auto parsed = parse_int(value);
-        if (!parsed || *parsed < 1 ||
-            *parsed > static_cast<std::int64_t>(hw)) {
-          std::fprintf(stderr,
-                       "bad --loop-threads: %s (need an integer in 1..%u "
-                       "— this machine's hardware thread count — or "
-                       "\"auto\")\n",
-                       value.c_str(), hw);
-          return 2;
-        }
-        loop_threads = static_cast<int>(*parsed);
       }
     } else if (arg == "--timeline") {
       timeline = true;
@@ -236,7 +200,6 @@ int main(int argc, char** argv) {
     config.control_epoch = Duration::seconds(control_epoch_s);
   }
   config.profile = profile;
-  config.loop_threads = loop_threads;
   std::printf("\nstreaming through a %zu-node swarm at %.0f kB/s "
               "(splicer=%s, policy=%s)...\n",
               config.nodes, bandwidth_kBps, splicer_spec.c_str(),

@@ -60,16 +60,6 @@ class Rng {
   /// stream so adding a peer does not perturb the draws of the others.
   Rng fork();
 
-  /// Exact state equality. The parallel loop's adoption check compares a
-  /// speculative clone's start state against the live stream: equal
-  /// states produce identical draw sequences, so an adopted result is
-  /// provably what an inline recompute would have returned.
-  friend bool operator==(const Rng& a, const Rng& b) {
-    return a.s_ == b.s_ && a.has_spare_normal_ == b.has_spare_normal_ &&
-           (!a.has_spare_normal_ || a.spare_normal_ == b.spare_normal_);
-  }
-  friend bool operator!=(const Rng& a, const Rng& b) { return !(a == b); }
-
  private:
   std::array<std::uint64_t, 4> s_{};
   // Cached second value of the Box-Muller pair.

@@ -54,14 +54,6 @@ bool full_realloc_env_enabled() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-/// VSPLICE_LOOP_THREADS, or 1 when absent/empty/unparseable.
-int loop_threads_env() {
-  const char* env = std::getenv("VSPLICE_LOOP_THREADS");
-  if (env == nullptr || env[0] == '\0') return 1;
-  const int n = std::atoi(env);
-  return n >= 1 ? n : 1;
-}
-
 /// "fig2.html" + run 2 -> "fig2.run2.html" (keeps the extension so the
 /// per-seed reports still open in a browser; traces, which have no
 /// meaningful extension, keep their append-suffix scheme).
@@ -111,13 +103,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   require(config.nodes >= 2, "need at least a seeder and one viewer");
   require(config.pair_loss >= 0.0 && config.pair_loss < 1.0,
           "pair loss must be in [0, 1)");
+  require(config.loop_threads == 1, "loop_threads must be 1");
 
   // --- Simulator first, then observability, so a cache-miss content
   // build below happens with the profiler already installed (the fetch
   // touches no simulator or RNG state, so the order is free).
   sim::Simulator sim;
-  sim.set_loop_threads(config.loop_threads > 0 ? config.loop_threads
-                                               : loop_threads_env());
 
   // Observability: installed for the scope of this run when any output
   // was requested. Nests under any context the caller pre-installed
@@ -310,8 +301,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.holder_picks += sched.holder_picks;
     result.candidates_scanned += sched.candidates_scanned;
     result.scheduling_engine_ns += sched.engine_ns;
-    result.speculation_adopted += leecher->speculation_adopted();
-    result.speculation_recomputed += leecher->speculation_recomputed();
     const p2p::ControlPlaneStats& control = leecher->control_stats();
     result.control_have_updates += control.have_updates;
     result.control_digests_sent += control.digests_sent;

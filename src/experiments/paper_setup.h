@@ -91,16 +91,11 @@ struct ScenarioConfig {
   /// because HAVE arrival times shift by up to one epoch.
   Duration control_epoch = Duration::zero();
 
-  /// Execution lanes for the deterministic parallel event loop
-  /// (DESIGN.md §14). 0 = read VSPLICE_LOOP_THREADS from the
-  /// environment (absent/empty there = 1); 1 = the exact serial loop;
-  /// N > 1 = a pool of N lanes speculating per-node decisions between
-  /// barrier windows and sharding large reallocations. Every figure,
-  /// trace, snapshot and RNG draw is byte-identical at any value — the
-  /// differential test and the parallel_matches_serial_loop bench check
-  /// pin that — so this knob trades wall time only. Compatible with
-  /// wire_roundtrip (the codec oracle runs on the commit thread).
-  int loop_threads = 0;
+  /// Must be 1: every run has one serial event loop (run_scenario
+  /// rejects any other value). The field survives only because the
+  /// repository benchmark (perfbench/) still assigns it; it goes with
+  /// the next change to that benchmark.
+  int loop_threads = 1;
 
   /// JSONL event-trace destination for this run. Empty = fall back to
   /// the VSPLICE_TRACE environment variable (empty there too = no
@@ -205,14 +200,6 @@ struct ScenarioResult {
   /// all viewers. Not deterministic (it is a clock, not a counter) —
   /// excluded from the identity comparisons, reported by bench_scale.
   std::uint64_t scheduling_engine_ns = 0;
-  /// Parallel-loop speculation outcomes summed over all viewers: picks
-  /// adopted from a barrier-window precompute vs. recomputed inline
-  /// because a stamp went stale (DESIGN.md §14). Always zero when
-  /// loop_threads = 1, so — like scheduling_engine_ns — these are
-  /// excluded from the serial/parallel identity comparisons; the bench
-  /// uses them to prove the speculative path actually engaged.
-  std::uint64_t speculation_adopted = 0;
-  std::uint64_t speculation_recomputed = 0;
 
   /// Control-plane accounting summed over all viewers (DESIGN.md §15).
   /// `control_have_updates` counts (segment, recipient) availability

@@ -171,51 +171,20 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
     }
   };
 
-  // Sharding (DESIGN.md §14): the per-round scans below are either exact
-  // min reductions or pure per-element predicates — both yield identical
-  // results under any partition — while every fix_flow, the only
-  // order-sensitive floating-point accumulation, applies serially in
-  // flow index order. A round therefore computes the same allocation
-  // sharded or not; the pool only changes who walks the arrays.
-  sim::TaskPool* pool =
-      (pool_ != nullptr && pool_->lanes() > 1 && n >= kParallelFlows)
-          ? pool_
-          : nullptr;
-  const auto for_blocks = [&](std::size_t count, auto&& body) {
-    if (pool != nullptr) {
-      pool->parallel_for(count, body);
-    } else if (count > 0) {
-      body(0, 0, count);
-    }
-  };
-  const std::size_t lanes = pool != nullptr ? pool->lanes() : 1;
-  hit_.resize(n);
-
   while (active_flows > 0) {
     // Equal share offered by the currently most constrained link.
-    lane_min_.assign(std::max<std::size_t>(1, std::min(links, lanes)), kInf);
-    for_blocks(links, [&](std::size_t block, std::size_t b, std::size_t e) {
-      double m = kInf;
-      for (std::size_t l = b; l < e; ++l) {
-        if (active_[l] == 0) continue;
-        m = std::min(m, remaining_[l] / static_cast<double>(active_[l]));
-      }
-      lane_min_[block] = m;
-    });
     double min_link_share = kInf;
-    for (const double m : lane_min_) min_link_share = std::min(min_link_share, m);
+    for (std::size_t l = 0; l < links; ++l) {
+      if (active_[l] == 0) continue;
+      min_link_share = std::min(
+          min_link_share, remaining_[l] / static_cast<double>(active_[l]));
+    }
 
     // Smallest cap among still-active flows.
-    lane_min_.assign(std::max<std::size_t>(1, std::min(n, lanes)), kInf);
-    for_blocks(n, [&](std::size_t block, std::size_t b, std::size_t e) {
-      double m = kInf;
-      for (std::size_t f = b; f < e; ++f) {
-        if (fixed_[f] == 0) m = std::min(m, cap_[f]);
-      }
-      lane_min_[block] = m;
-    });
     double min_cap = kInf;
-    for (const double m : lane_min_) min_cap = std::min(min_cap, m);
+    for (std::size_t f = 0; f < n; ++f) {
+      if (fixed_[f] == 0) min_cap = std::min(min_cap, cap_[f]);
+    }
 
     const double level = std::min(min_link_share, min_cap);
 
@@ -231,16 +200,9 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
 
     // First settle flows whose own cap binds at (or below) this level:
     // they take less than their equal share, freeing capacity for others.
-    // Flag in (possibly sharded) scan, fix serially in index order.
-    for_blocks(n, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t f = b; f < e; ++f) {
-        hit_[f] = static_cast<unsigned char>(fixed_[f] == 0 &&
-                                             cap_[f] <= threshold);
-      }
-    });
     bool fixed_by_cap = false;
     for (std::size_t f = 0; f < n; ++f) {
-      if (hit_[f] != 0) {
+      if (fixed_[f] == 0 && cap_[f] <= threshold) {
         fix_flow(f, cap_[f]);
         fixed_by_cap = true;
       }
@@ -250,24 +212,16 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
     // Otherwise the level came from a bottleneck link: freeze every flow
     // crossing a link whose share equals the level.
     bottleneck_.assign(links, 0);
-    for_blocks(links, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t l = b; l < e; ++l) {
-        if (active_[l] == 0) continue;
-        const double share = remaining_[l] / static_cast<double>(active_[l]);
-        if (share <= threshold) bottleneck_[l] = 1;
-      }
-    });
-    for_blocks(n, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t f = b; f < e; ++f) {
-        hit_[f] = static_cast<unsigned char>(
-            fixed_[f] == 0 &&
-            (bottleneck_[0] != 0 || bottleneck_[flows[f].uplink] != 0 ||
-             bottleneck_[flows[f].downlink] != 0));
-      }
-    });
+    for (std::size_t l = 0; l < links; ++l) {
+      if (active_[l] == 0) continue;
+      const double share = remaining_[l] / static_cast<double>(active_[l]);
+      if (share <= threshold) bottleneck_[l] = 1;
+    }
     bool fixed_any = false;
     for (std::size_t f = 0; f < n; ++f) {
-      if (hit_[f] != 0) {
+      if (fixed_[f] == 0 &&
+          (bottleneck_[0] != 0 || bottleneck_[flows[f].uplink] != 0 ||
+           bottleneck_[flows[f].downlink] != 0)) {
         fix_flow(f, level);
         fixed_any = true;
       }

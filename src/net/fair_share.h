@@ -24,7 +24,6 @@
 
 #include "common/units.h"
 #include "net/types.h"
-#include "sim/task_pool.h"
 
 namespace vsplice::net {
 
@@ -67,27 +66,8 @@ class StarAllocator {
                 const std::vector<Rate>& link_capacity,
                 std::vector<Rate>& out);
 
-  /// Optional worker pool for sharding the per-round scans (DESIGN.md
-  /// §14). The per-round min reductions and the cap/bottleneck predicate
-  /// passes split across the pool's lanes; `fix_flow` — the only
-  /// floating-point *accumulation* — always applies serially in flow
-  /// index order, so the allocation is bit-identical with any pool (min
-  /// over a deterministic partition is an exact, order-free reduction;
-  /// the predicates write disjoint per-flow / per-link flags). Sharding
-  /// engages only when a round scans kParallelFlows or more flows; below
-  /// that the scan is cheaper than the handoff. Pass nullptr (the
-  /// default) for the plain serial path. The pool must be idle for the
-  /// duration of every allocate() call.
-  void set_task_pool(sim::TaskPool* pool) { pool_ = pool; }
-
-  /// Flow count at which a pooled allocator shards its per-round scans.
-  static constexpr std::size_t kParallelFlows = 512;
-
   /// Bytes held by the scratch buffers (capacity-based; they grow to
-  /// the high-water mark of (flows, links) and stay there). The
-  /// pool-only scratch (hit_, lane_min_) is deliberately excluded:
-  /// accounting it would make reported memory depend on loop_threads,
-  /// breaking the serial/parallel byte-identity of ScenarioResult.
+  /// the high-water mark of (flows, links) and stay there).
   [[nodiscard]] std::uint64_t memory_bytes() const {
     return static_cast<std::uint64_t>(remaining_.capacity() * sizeof(double) +
                                       active_.capacity() * sizeof(std::uint32_t) +
@@ -104,9 +84,6 @@ class StarAllocator {
   std::vector<double> alloc_;            // per flow: assigned rate
   std::vector<unsigned char> fixed_;     // per flow: frozen at alloc_
   std::vector<unsigned char> bottleneck_;  // per link: binds this round
-  std::vector<unsigned char> hit_;       // per flow: predicate fired
-  std::vector<double> lane_min_;         // per pool block: partial min
-  sim::TaskPool* pool_ = nullptr;
 };
 
 }  // namespace vsplice::net

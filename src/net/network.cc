@@ -432,9 +432,6 @@ void Network::reallocate() {
                            compact_of(downlink_of(flow->dst).value),
                            flow->cap});
         }
-        // The simulator's worker pool (if any) is idle between barrier
-        // windows, so the allocator may borrow it for its per-round scans.
-        allocator_.set_task_pool(sim_.task_pool());
         allocator_.allocate(scratch_specs_, scratch_capacity_,
                             scratch_rates_);
       }
@@ -462,7 +459,6 @@ void Network::reallocate() {
                                             flow.cap});
       scratch_flows_.emplace_back(id, &flow);
     }
-    allocator_.set_task_pool(sim_.task_pool());
     allocator_.allocate(scratch_specs_, scratch_capacity_, scratch_rates_);
   }
 

@@ -179,8 +179,7 @@ class Network {
   /// entry. Reallocation/query scratch is deliberately excluded: its
   /// high-water mark depends on whether the scoped path or the
   /// full-rescan oracle ran, and accounting it would break the
-  /// scoped/full byte-identity of ScenarioResult (same rule as the
-  /// pool-only scratch, DESIGN.md §14).
+  /// scoped/full byte-identity of ScenarioResult.
   [[nodiscard]] std::uint64_t memory_bytes() const {
     const std::uint64_t map_node =
         sizeof(std::pair<FlowId, Flow>) + 4 * sizeof(void*);

@@ -37,14 +37,6 @@ class EngineTimer {
   std::uint64_t& acc_;
   std::chrono::steady_clock::time_point start_;
 };
-
-void accumulate(vsplice::p2p::SchedulerStats& into,
-                const vsplice::p2p::SchedulerStats& delta) {
-  into.segment_picks += delta.segment_picks;
-  into.holder_picks += delta.holder_picks;
-  into.candidates_scanned += delta.candidates_scanned;
-  into.engine_ns += delta.engine_ns;
-}
 }  // namespace
 
 namespace vsplice::p2p {
@@ -64,11 +56,9 @@ Leecher::Leecher(Swarm& swarm, net::NodeId node, PeerConfig peer_config,
   require(config_.control_epoch >= Duration::zero(),
           "control epoch cannot be negative");
   if (config_.control_epoch > Duration::zero()) {
-    // The flush event mutates only this node's state and its outbound
-    // connections, so it is owner-tagged like the download tick.
     have_flush_ = std::make_unique<sim::CoalescingFlush>(
         swarm.simulator(), config_.control_epoch,
-        [this] { flush_pending_haves(); }, node.value);
+        [this] { flush_pending_haves(); });
   }
 }
 
@@ -76,7 +66,6 @@ Leecher::~Leecher() {
   // Cancel timers that capture `this`; connections cancel their own
   // events in their destructors.
   auto& sim = swarm_.simulator();
-  sim.set_compute_hook(node_.value, {});
   for (auto& [segment, download] : downloads_) {
     if (download.retry_event != sim::kInvalidEventId)
       sim.cancel(download.retry_event);
@@ -248,15 +237,9 @@ void Leecher::on_metadata(const std::string& playlist_text) {
     if (peer != swarm_.seeder_node()) connect_control(peer);
   }
 
-  // The download tick is owner-tagged: it mutates only this node's
-  // state, so the parallel loop may include it in a barrier window and
-  // speculate the decision it will make via the compute hook.
   tick_ = std::make_unique<sim::PeriodicTask>(
-      swarm_.simulator(), config_.tick, [this] { schedule_downloads(); },
-      node_.value);
+      swarm_.simulator(), config_.tick, [this] { schedule_downloads(); });
   tick_->start();
-  swarm_.simulator().set_compute_hook(
-      node_.value, [this](TimePoint when) { precompute_schedule(when); });
 
   obs::close_span(announce_span_, swarm_.simulator().now());
   announce_span_ = 0;
@@ -425,78 +408,22 @@ void Leecher::schedule_downloads() {
                   player_->buffered_ahead()});
     obs::set_gauge("p2p.pool_target", static_cast<double>(pool));
   }
-  bool first = true;
   while (downloads_.size() < static_cast<std::size_t>(pool)) {
-    std::optional<std::size_t> next;
-    if (first && spec_usable()) {
-      // Adopt the speculative segment pick; the holder pick is armed for
-      // the pick_holder call that start_download reaches synchronously.
-      next = spec_.segment;
-      accumulate(sched_, spec_.segment_stats);
-      spec_.holder_armed = next.has_value();
-      spec_.valid = false;
-      ++spec_adopted_;
-    } else {
-      if (first && spec_.valid) ++spec_recomputed_;
-      spec_.valid = false;
-      next = next_segment_to_fetch(sched_);
-    }
-    first = false;
+    const std::optional<std::size_t> next = next_segment_to_fetch();
     if (!next) break;
     start_download(*next);
-    spec_.holder_armed = false;  // consumed by pick_holder (or stale now)
   }
 }
 
-bool Leecher::spec_usable() const {
-  return spec_.valid && spec_.epoch == epoch_ &&
-         spec_.now == swarm_.simulator().now() &&
-         spec_.frontier == player_->buffer().frontier() &&
-         spec_.rng_before == rng_;
-}
-
-void Leecher::precompute_schedule(TimePoint when) {
-  // Worker-thread context: the commit thread is parked in
-  // TaskPool::quiesce(), so all simulation state is frozen. Read
-  // anything, write only spec_. `when` is the future fire time of this
-  // node's window event: the decision is computed as of that clock
-  // value, and the spec_.now stamp rejects adoption if a preempting
-  // event fires the tick at any other time (or state changes first —
-  // the epoch/frontier/RNG stamps).
-  spec_.valid = false;
-  spec_.holder_armed = false;
-  if (config_.brute_force_scheduling) return;  // oracle stays unspeculated
-  if (!online_ || !index_ || !player_) return;
-  if (player_->buffer().complete()) return;
-  spec_.epoch = epoch_;
-  spec_.now = when;
-  spec_.frontier = player_->buffer().frontier();
-  spec_.rng_before = rng_;
-  spec_.segment_stats = SchedulerStats{};
-  spec_.holder_stats = SchedulerStats{};
-  spec_.segment = next_segment_to_fetch(spec_.segment_stats);
-  spec_.holder.reset();
-  if (spec_.segment) {
-    Rng rng = rng_;  // speculative draws come from a clone
-    spec_.holder = pick_holder_with(*spec_.segment, {}, rng, spec_.now,
-                                    spec_.holder_stats);
-    spec_.rng_after = rng;
-  } else {
-    spec_.rng_after = rng_;
-  }
-  spec_.valid = true;
-}
-
-std::optional<std::size_t> Leecher::next_segment_to_fetch(
-    SchedulerStats& stats) const {
+std::optional<std::size_t> Leecher::next_segment_to_fetch() {
   VSPLICE_PROFILE_SCOPE("p2p.pick_segment");
-  const EngineTimer timer{stats.engine_ns};
-  ++stats.segment_picks;
+  const EngineTimer timer{sched_.engine_ns};
+  ++sched_.segment_picks;
   const auto& buffer = player_->buffer();
   if (config_.brute_force_scheduling) {
     // Retained oracle: linear scan over the whole remaining playlist.
     for (std::size_t i = buffer.frontier(); i < index_->count(); ++i) {
-      ++stats.candidates_scanned;
+      ++sched_.candidates_scanned;
       if (!buffer.is_downloaded(i) && !downloads_.contains(i)) return i;
     }
     return std::nullopt;
@@ -522,7 +449,6 @@ std::optional<std::size_t> Leecher::next_segment_to_fetch(
 }
 
 void Leecher::start_download(std::size_t segment) {
-  ++epoch_;  // downloads_ / in_flight_ change
   Download& download = downloads_[segment];
   download.segment = segment;
   download.started = swarm_.simulator().now();
@@ -548,37 +474,20 @@ bool Leecher::holder_has(net::NodeId peer, std::size_t segment) const {
 
 std::optional<net::NodeId> Leecher::pick_holder(
     std::size_t segment, const std::set<net::NodeId>& excluded) {
-  if (spec_.holder_armed) {
-    spec_.holder_armed = false;
-    if (excluded.empty() && spec_.segment && *spec_.segment == segment) {
-      // Adopt the speculative pick. rng_ fast-forwards to the clone's
-      // end state — exactly the draws an inline recompute would consume
-      // (spec_usable() proved the start states equal and inputs frozen).
-      accumulate(sched_, spec_.holder_stats);
-      rng_ = spec_.rng_after;
-      return spec_.holder;
-    }
-  }
-  return pick_holder_with(segment, excluded, rng_,
-                          swarm_.simulator().now(), sched_);
-}
-
-std::optional<net::NodeId> Leecher::pick_holder_with(
-    std::size_t segment, const std::set<net::NodeId>& excluded, Rng& rng,
-    TimePoint now, SchedulerStats& stats) const {
   VSPLICE_PROFILE_SCOPE("p2p.pick_holder");
-  const EngineTimer timer{stats.engine_ns};
-  ++stats.holder_picks;
+  const EngineTimer timer{sched_.engine_ns};
+  ++sched_.holder_picks;
   // Sticky preference: the peer that just served us has a free slot.
   if (last_server_ && !excluded.contains(*last_server_) &&
       holder_has(*last_server_, segment) &&
-      rng.bernoulli(config_.sticky_holder_probability)) {
+      rng_.bernoulli(config_.sticky_holder_probability)) {
     return *last_server_;
   }
+  const TimePoint now = swarm_.simulator().now();
   std::vector<net::NodeId> fresh;
   std::vector<net::NodeId> cooling;
   const auto classify = [&](net::NodeId peer) {
-    ++stats.candidates_scanned;
+    ++sched_.candidates_scanned;
     if (excluded.contains(peer)) return;
     // Mirrors holder_has with the slot kept in hand: one binary search
     // serves the availability check AND the choke-cooldown reads, and
@@ -610,8 +519,8 @@ std::optional<net::NodeId> Leecher::pick_holder_with(
   } else if (segment < holders_.size()) {
     for (net::NodeId peer : holders_[segment]) classify(peer);
   }
-  if (!fresh.empty()) return fresh[rng.index(fresh.size())];
-  if (!cooling.empty()) return cooling[rng.index(cooling.size())];
+  if (!fresh.empty()) return fresh[rng_.index(fresh.size())];
+  if (!cooling.empty()) return cooling[rng_.index(cooling.size())];
   return std::nullopt;
 }
 
@@ -634,15 +543,13 @@ void Leecher::attempt_download(Download& download) {
           static_cast<std::int64_t>(segment));
     }
     download.tried.clear();
-    download.retry_event = sim.after(
-        config_.choke_backoff,
-        [this, segment] {
+    download.retry_event =
+        sim.after(config_.choke_backoff, [this, segment] {
           const auto it = downloads_.find(segment);
           if (it == downloads_.end()) return;
           it->second.retry_event = sim::kInvalidEventId;
           attempt_download(it->second);
-        },
-        node_.value);
+        });
     return;
   }
 
@@ -714,8 +621,7 @@ void Leecher::arm_request_timeout(Download& download) {
         d.tried.insert(d.holder);
         if (d.conn) swarm_.dispose_connection(std::move(d.conn));
         attempt_download(d);
-      },
-      node_.value);
+      });
 }
 
 void Leecher::on_choke(net::NodeId from, net::Connection& conn) {
@@ -736,7 +642,6 @@ void Leecher::on_choke(net::NodeId from, net::Connection& conn) {
 }
 
 void Leecher::on_choked_for(std::size_t segment, net::NodeId holder) {
-  ++epoch_;  // choke cooldowns / last_server_ change
   // Record the cooldown in the slot arrays. A holder is always known at
   // choke time (it was picked from holders_), but guard anyway: the map
   // this replaced tolerated unknown peers, whose entries were unreadable
@@ -789,7 +694,6 @@ void Leecher::on_piece_outcome(std::size_t segment, net::NodeId holder,
 
 void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
                                   Duration elapsed) {
-  ++epoch_;  // have_ / last_server_ / estimator change
   const auto it = downloads_.find(segment);
   if (it != downloads_.end()) last_server_ = it->second.holder;
   const std::int64_t holder_id =
@@ -835,7 +739,6 @@ void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
 void Leecher::cancel_download(std::size_t segment) {
   auto node = downloads_.extract(segment);
   if (node.empty()) return;
-  ++epoch_;  // downloads_ / in_flight_ change
   if (segment < in_flight_.size()) in_flight_.reset(segment);
   Download& download = node.mapped();
   auto& sim = swarm_.simulator();
@@ -901,7 +804,6 @@ Bitfield& Leecher::ensure_known(net::NodeId peer) {
 }
 
 void Leecher::store_bitfield(net::NodeId peer, Bitfield have) {
-  ++epoch_;  // known availability changes
   if (Bitfield* existing = known_have(peer)) {
     drop_holder_bits(peer, *existing);
     *existing = std::move(have);
@@ -917,7 +819,6 @@ void Leecher::forget_peer(net::NodeId peer) {
   const auto it =
       std::lower_bound(known_peers_.begin(), known_peers_.end(), peer);
   if (it == known_peers_.end() || *it != peer) return;
-  ++epoch_;  // known availability changes
   const std::size_t pos =
       static_cast<std::size_t>(it - known_peers_.begin());
   const std::uint32_t slot = known_peer_slots_[pos] - 1;
@@ -934,7 +835,6 @@ void Leecher::add_holder(net::NodeId peer, std::size_t segment) {
   std::vector<net::NodeId>& list = holders_[segment];
   const auto it = std::lower_bound(list.begin(), list.end(), peer);
   if (it != list.end() && *it == peer) return;
-  ++epoch_;  // holders_ / rarity_ change
   list.insert(it, peer);
   rarity_.add_holder(segment);
 }
@@ -952,7 +852,6 @@ void Leecher::drop_holder_bits(net::NodeId peer, const Bitfield& have) {
     std::vector<net::NodeId>& list = holders_[segment];
     const auto it = std::lower_bound(list.begin(), list.end(), peer);
     if (it != list.end() && *it == peer) {
-      ++epoch_;  // holders_ / rarity_ change
       list.erase(it);
       rarity_.remove_holder(segment);
     }
@@ -963,7 +862,6 @@ void Leecher::drop_holder_bits(net::NodeId peer, const Bitfield& have) {
 
 void Leecher::on_peer_left(net::NodeId who) {
   if (!online_) return;
-  ++epoch_;  // last_server_ / peer liveness change
   if (last_server_ == who) last_server_.reset();
   forget_peer(who);
   const auto control = std::lower_bound(
@@ -990,7 +888,6 @@ void Leecher::on_peer_left(net::NodeId who) {
 void Leecher::leave() {
   if (!online_) return;
   online_ = false;
-  swarm_.simulator().set_compute_hook(node_.value, {});
   if (tick_) tick_->stop();
   // A churned peer abandons its pending digest: announcing availability
   // after leaving would advertise a holder that no longer serves.

@@ -206,17 +206,8 @@ class Leecher final : public Peer {
                            Duration elapsed);
   void cancel_download(std::size_t segment);
 
-  /// The two decision functions are pure against explicit inputs (RNG
-  /// stream, clock, counter sink) so the parallel loop's compute hook
-  /// can run them speculatively on a worker against cloned state.
-  [[nodiscard]] std::optional<std::size_t> next_segment_to_fetch(
-      SchedulerStats& stats) const;
-  [[nodiscard]] std::optional<net::NodeId> pick_holder_with(
-      std::size_t segment, const std::set<net::NodeId>& excluded, Rng& rng,
-      TimePoint now, SchedulerStats& stats) const;
-  /// Adoption-aware wrapper: consumes an armed speculative holder
-  /// decision (fast-forwarding rng_ past the adopted draws), or
-  /// recomputes inline against the live state.
+  /// The two scheduling decisions; both count their work into sched_.
+  [[nodiscard]] std::optional<std::size_t> next_segment_to_fetch();
   [[nodiscard]] std::optional<net::NodeId> pick_holder(
       std::size_t segment, const std::set<net::NodeId>& excluded);
   [[nodiscard]] bool holder_has(net::NodeId peer,
@@ -302,7 +293,7 @@ class Leecher final : public Peer {
   /// Segments with a download in flight (mirror of downloads_ keys), so
   /// the next-segment scan is a word scan over have_ | in_flight_.
   Bitfield in_flight_;
-  mutable SchedulerStats sched_;
+  SchedulerStats sched_;
   /// Most recent holder to complete a transfer for us (slot known free).
   std::optional<net::NodeId> last_server_;
 
@@ -316,52 +307,6 @@ class Leecher final : public Peer {
   std::map<std::size_t, Download> downloads_;
   std::unique_ptr<sim::PeriodicTask> tick_;
 
-  /// Speculative decision slot for the deterministic parallel loop
-  /// (DESIGN.md §14). precompute_schedule() runs on a TaskPool worker
-  /// while the commit thread is quiesced; it evaluates the next
-  /// (segment, holder) decision against a *clone* of rng_ and stamps the
-  /// inputs it read. At commit time schedule_downloads() adopts the
-  /// result only if every stamp still matches — same state epoch, same
-  /// sim clock, same playback frontier, same RNG state — which proves
-  /// the adopted answer is bit-for-bit what an inline recompute would
-  /// return; otherwise it recomputes inline. Either way the figures are
-  /// byte-identical to the serial loop.
-  struct SpeculativeDecision {
-    bool valid = false;
-    bool holder_armed = false;  // transient, within one adoption
-    std::uint64_t epoch = 0;
-    TimePoint now;
-    std::size_t frontier = 0;
-    Rng rng_before{0};
-    Rng rng_after{0};
-    std::optional<std::size_t> segment;
-    std::optional<net::NodeId> holder;
-    SchedulerStats segment_stats;  // counter deltas, applied on adoption
-    SchedulerStats holder_stats;
-  };
-  /// The compute hook body (worker thread; reads only, writes spec_).
-  /// `when` is the simulated time the owner's window event will fire —
-  /// the decision is evaluated (and stamped) as of that time, since the
-  /// planner runs before the clock reaches it.
-  void precompute_schedule(TimePoint when);
-  [[nodiscard]] bool spec_usable() const;
-  SpeculativeDecision spec_;
-  /// Bumped by every mutation of decision inputs (availability, holder
-  /// lists, in-flight set, choke cooldowns, last server, own bitfield).
-  std::uint64_t epoch_ = 0;
-  /// Speculation effectiveness counters (not part of any figure).
-  std::uint64_t spec_adopted_ = 0;
-  std::uint64_t spec_recomputed_ = 0;
-
- public:
-  [[nodiscard]] std::uint64_t speculation_adopted() const {
-    return spec_adopted_;
-  }
-  [[nodiscard]] std::uint64_t speculation_recomputed() const {
-    return spec_recomputed_;
-  }
-
- private:
   /// Last pool target reported on the trace bus (-1 = none yet); pool
   /// changes are only interesting as transitions, so equal values are
   /// suppressed.

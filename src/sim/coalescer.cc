@@ -5,20 +5,17 @@
 namespace vsplice::sim {
 
 CoalescingFlush::CoalescingFlush(Simulator& sim, Duration delay,
-                                 std::function<void()> fn, OwnerId owner)
-    : sim_{sim}, delay_{delay}, fn_{std::move(fn)}, owner_{owner} {}
+                                 std::function<void()> fn)
+    : sim_{sim}, delay_{delay}, fn_{std::move(fn)} {}
 
 bool CoalescingFlush::arm() {
   if (event_ != kInvalidEventId) return false;
-  event_ = sim_.after(
-      delay_,
-      [this] {
-        // Clear before firing so the callback can re-arm for the next
-        // epoch from inside the flush.
-        event_ = kInvalidEventId;
-        fn_();
-      },
-      owner_);
+  event_ = sim_.after(delay_, [this] {
+    // Clear before firing so the callback can re-arm for the next epoch
+    // from inside the flush.
+    event_ = kInvalidEventId;
+    fn_();
+  });
   return true;
 }
 

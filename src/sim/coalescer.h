@@ -19,10 +19,7 @@ namespace vsplice::sim {
 
 class CoalescingFlush {
  public:
-  /// `owner` tags the flush event for the parallel loop's speculation
-  /// windows, exactly like the owner's other private-state events.
-  CoalescingFlush(Simulator& sim, Duration delay, std::function<void()> fn,
-                  OwnerId owner = kNoOwner);
+  CoalescingFlush(Simulator& sim, Duration delay, std::function<void()> fn);
   CoalescingFlush(const CoalescingFlush&) = delete;
   CoalescingFlush& operator=(const CoalescingFlush&) = delete;
   ~CoalescingFlush() { cancel(); }
@@ -47,7 +44,6 @@ class CoalescingFlush {
   Simulator& sim_;
   Duration delay_;
   std::function<void()> fn_;
-  OwnerId owner_;
   EventId event_ = kInvalidEventId;
 };
 

@@ -8,8 +8,7 @@
 
 namespace vsplice::sim {
 
-EventId Simulator::at(TimePoint t, std::function<void()> fn,
-                      OwnerId owner) {
+EventId Simulator::at(TimePoint t, std::function<void()> fn) {
   // Format the diagnostic only on failure: this runs once per event.
   if (t < now_) {
     throw InvalidArgument{"cannot schedule an event in the past (" +
@@ -21,12 +20,10 @@ EventId Simulator::at(TimePoint t, std::function<void()> fn,
     slot = free_slots_.back();
     free_slots_.pop_back();
     callbacks_[slot] = std::move(fn);
-    owner_[slot] = owner;
   } else {
     slot = static_cast<std::uint32_t>(generation_.size());
     generation_.push_back(1);
     callbacks_.push_back(std::move(fn));
-    owner_.push_back(owner);
   }
   const EventId id = make_id(slot, generation_[slot]);
   {
@@ -40,80 +37,9 @@ EventId Simulator::at(TimePoint t, std::function<void()> fn,
   return id;
 }
 
-EventId Simulator::after(Duration d, std::function<void()> fn,
-                         OwnerId owner) {
+EventId Simulator::after(Duration d, std::function<void()> fn) {
   require(!d.is_negative(), "cannot schedule with a negative delay");
-  return at(now_ + d, std::move(fn), owner);
-}
-
-void Simulator::set_loop_threads(int n) {
-  require(n >= 1 && n <= 4096, "loop threads must be in [1, 4096]");
-  loop_threads_ = n;
-  window_remaining_ = 0;
-  if (n <= 1) {
-    pool_.reset();
-  } else {
-    pool_ = std::make_unique<TaskPool>(static_cast<std::size_t>(n));
-  }
-}
-
-void Simulator::set_compute_hook(OwnerId owner,
-                                 std::function<void(TimePoint)> hook) {
-  require(owner != kNoOwner, "kNoOwner cannot have a compute hook");
-  if (owner >= hooks_.size()) {
-    if (!hook) return;  // clearing a hook that was never set
-    hooks_.resize(owner + 1);
-  }
-  hooks_[owner] = std::move(hook);
-}
-
-void Simulator::plan_window() {
-  // k-smallest traversal of the binary heap: a candidate min-heap of
-  // positions, seeded with the root; popping a position offers its two
-  // children. Visits only the peeked prefix's ancestors, never the
-  // whole array. Stale (cancelled) entries are skipped but still expand.
-  peek_heap_.clear();
-  window_owners_.clear();
-  std::size_t window = 0;
-  const auto later = [this](std::uint32_t a, std::uint32_t b) {
-    return Later{}(heap_[a], heap_[b]);
-  };
-  constexpr std::size_t kWindowCap = 64;
-  if (!heap_.empty()) peek_heap_.push_back(0);
-  while (!peek_heap_.empty() && window < kWindowCap) {
-    std::pop_heap(peek_heap_.begin(), peek_heap_.end(), later);
-    const std::uint32_t pos = peek_heap_.back();
-    peek_heap_.pop_back();
-    for (std::size_t child : {2 * static_cast<std::size_t>(pos) + 1,
-                              2 * static_cast<std::size_t>(pos) + 2}) {
-      if (child < heap_.size()) {
-        peek_heap_.push_back(static_cast<std::uint32_t>(child));
-        std::push_heap(peek_heap_.begin(), peek_heap_.end(), later);
-      }
-    }
-    const EventId id = heap_[pos].id;
-    if (!live(id)) continue;
-    const OwnerId owner = owner_[slot_of(id)];
-    if (owner == kNoOwner) break;  // barrier event: window ends here
-    ++window;
-    if (owner < hooks_.size() && hooks_[owner]) {
-      bool seen = false;
-      for (const auto& [o, unused] : window_owners_) seen = seen || o == owner;
-      if (!seen) window_owners_.emplace_back(owner, heap_[pos].time);
-    }
-  }
-  // Speculate each owner's next decision concurrently — as of the time
-  // its first window event will fire — then quiesce so the commits
-  // below never run while a worker is reading state.
-  if (!window_owners_.empty()) {
-    for (const auto& [o, when] : window_owners_) {
-      pool_->submit([hook = &hooks_[o], when] { (*hook)(when); });
-    }
-    pool_->quiesce();
-  }
-  // Plan at least one commit even when the window is empty (the next
-  // event is itself a barrier): fire it and re-plan after.
-  window_remaining_ = window > 0 ? window : 1;
+  return at(now_ + d, std::move(fn));
 }
 
 bool Simulator::live(EventId id) const {
@@ -167,13 +93,6 @@ void Simulator::drop_stale() const {
 
 void Simulator::fire() {
   VSPLICE_PROFILE_SCOPE("sim.fire");
-  if (pool_) {
-    // Parallel loop: at a window boundary, peek the next window and
-    // speculate its owners' decisions before committing anything. The
-    // pop below is untouched either way — commit order IS serial order.
-    if (window_remaining_ == 0) plan_window();
-    --window_remaining_;
-  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry entry = heap_.back();
   heap_.pop_back();
@@ -228,8 +147,8 @@ TimePoint Simulator::next_event_time() const {
 }
 
 PeriodicTask::PeriodicTask(Simulator& sim, Duration period,
-                           std::function<void()> fn, OwnerId owner)
-    : sim_{sim}, period_{period}, fn_{std::move(fn)}, owner_{owner} {
+                           std::function<void()> fn)
+    : sim_{sim}, period_{period}, fn_{std::move(fn)} {
   require(period_ > Duration::zero(), "periodic task period must be > 0");
   require(static_cast<bool>(fn_), "periodic task needs a callback");
 }
@@ -251,15 +170,12 @@ void PeriodicTask::stop() {
 }
 
 void PeriodicTask::schedule_next() {
-  event_ = sim_.after(
-      period_,
-      [this] {
-        event_ = kInvalidEventId;
-        fn_();
-        // fn_ may have called stop(); only chain if still meant to run.
-        if (!stopped_) schedule_next();
-      },
-      owner_);
+  event_ = sim_.after(period_, [this] {
+    event_ = kInvalidEventId;
+    fn_();
+    // fn_ may have called stop(); only chain if still meant to run.
+    if (!stopped_) schedule_next();
+  });
 }
 
 }  // namespace vsplice::sim

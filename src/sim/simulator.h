@@ -4,27 +4,7 @@
 // scheduled. Everything in vsplice (network flows, peer protocol timers,
 // the playback clock) runs on one Simulator instance. Concurrency across
 // *runs* is achieved by giving each run its own Simulator (see
-// experiments::ParallelRunner).
-//
-// Within a run, set_loop_threads(N > 1) enables the deterministic
-// parallel loop (DESIGN.md §14): events are still *committed* strictly
-// serially in heap order — (time, sequence), which refines (time,
-// node-id, per-node sequence) since sequences are assigned at schedule
-// time — so every callback, RNG draw, figure and trace is byte-identical
-// to the serial loop by construction. The parallelism is speculative:
-// before committing a *barrier window* (the maximal run of owner-tagged
-// events before the next untagged event — untagged events are the
-// global barriers: flow completions and message deliveries that trigger
-// hub reallocation), the loop peeks the window's owners out of the heap
-// and runs their registered compute hooks concurrently on a TaskPool,
-// then quiesces before the first commit. A hook precomputes its node's
-// next scheduling decision into a private slot; the node adopts the
-// result at commit time only if a validation stamp (RNG state, state
-// epoch) proves it equal to what an inline recompute would produce, and
-// recomputes inline otherwise. The same pool shards the hub
-// reallocation's per-flow scans (net::Network). Workers only ever run
-// while the commit thread is parked in TaskPool::quiesce(), so no state
-// is read while being written.
+// experiments::ParallelRunner); within a run the loop is serial.
 //
 // Hot-path design: the heap orders trivially-copyable 24-byte entries
 // (time, FIFO sequence, id) while the callbacks live in per-slot storage
@@ -41,12 +21,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/units.h"
 #include "obs/metrics.h"
-#include "sim/task_pool.h"
 
 namespace vsplice::sim {
 
@@ -58,13 +36,6 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Owner tag for the parallel loop's barrier windows: the node whose
-/// private state an event mutates. kNoOwner marks a global (barrier)
-/// event — it ends the current window.
-using OwnerId = std::uint32_t;
-
-inline constexpr OwnerId kNoOwner = 0xFFFFFFFFu;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -75,14 +46,10 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (must not be in the past).
-  /// `owner` tags the event for the parallel loop's window planner;
-  /// untagged events are barriers (see the header comment).
-  EventId at(TimePoint t, std::function<void()> fn,
-             OwnerId owner = kNoOwner);
+  EventId at(TimePoint t, std::function<void()> fn);
 
   /// Schedules `fn` after `d` from now (d must be non-negative).
-  EventId after(Duration d, std::function<void()> fn,
-                OwnerId owner = kNoOwner);
+  EventId after(Duration d, std::function<void()> fn);
 
   /// Cancels a pending event. Returns false if it already fired, was
   /// already cancelled, or never existed. The callback is destroyed
@@ -148,8 +115,6 @@ class Simulator {
                sizeof(std::uint32_t) +
            static_cast<std::uint64_t>(callbacks_.capacity()) *
                sizeof(std::function<void()>) +
-           static_cast<std::uint64_t>(owner_.capacity()) *
-               sizeof(OwnerId) +
            static_cast<std::uint64_t>(free_slots_.capacity()) *
                sizeof(std::uint32_t);
   }
@@ -160,30 +125,6 @@ class Simulator {
   /// Safety valve for tests: run() throws InternalError after this many
   /// events (0 disables the limit, the default).
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
-
-  // ----------------------------------------- deterministic parallel loop
-
-  /// Enables the parallel loop with `n` total lanes (workers + the
-  /// commit thread). n <= 1 is the exact serial path (no pool, no
-  /// planner, nothing speculated); results are byte-identical either
-  /// way. Must not be called while events are firing.
-  void set_loop_threads(int n);
-  [[nodiscard]] int loop_threads() const { return loop_threads_; }
-
-  /// The pool, or nullptr in serial mode. Shared with net::Network for
-  /// the sharded reallocation phases.
-  [[nodiscard]] TaskPool* task_pool() { return pool_.get(); }
-
-  /// Registers `hook` as `owner`'s speculative compute. The planner runs
-  /// it on a worker before committing a window containing one of the
-  /// owner's events, passing the simulated time at which the owner's
-  /// first window event will fire (the hook speculates *as of* that
-  /// time; its validation stamp must include it, since other events may
-  /// preempt the window). It must only read simulation state (the
-  /// commit thread is quiesced) and write the owner's private slot.
-  /// Pass an empty function to clear (required before the owner is
-  /// destroyed).
-  void set_compute_hook(OwnerId owner, std::function<void(TimePoint)> hook);
 
  private:
   /// Heap entry: trivially copyable on purpose. The callback lives in
@@ -226,15 +167,10 @@ class Simulator {
   /// unchanged — it is the total order (time, sequence), independent of
   /// heap layout — and generation tags live in the slot vector, which a
   /// rebuild never touches. Runs only from cancel(), never while an
-  /// entry is being popped or the window planner is peeking.
+  /// entry is being popped.
   void maybe_compact();
   /// Moves the top entry out of the heap, retires it, and runs it.
   void fire();
-  /// Parallel loop: peeks the next barrier window (up to kWindowCap
-  /// owner-tagged events in commit order, stopping at the first
-  /// untagged event), runs the owners' compute hooks on the pool, and
-  /// quiesces. Sets window_remaining_ to the window length (>= 1).
-  void plan_window();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_sequence_ = 0;
@@ -251,22 +187,7 @@ class Simulator {
   mutable std::vector<Entry> heap_;
   std::vector<std::uint32_t> generation_;  // per slot; starts at 1
   std::vector<std::function<void()>> callbacks_;  // per slot
-  std::vector<OwnerId> owner_;                    // per slot
   std::vector<std::uint32_t> free_slots_;
-
-  // Parallel loop (all empty/idle in serial mode; the owner_ vector
-  // above is maintained in both modes so memory accounting — and
-  // therefore every figure — is identical with the loop on or off).
-  int loop_threads_ = 1;
-  std::unique_ptr<TaskPool> pool_;
-  std::vector<std::function<void(TimePoint)>> hooks_;  // per owner id
-  std::size_t window_remaining_ = 0;  // commits left this window
-  // plan_window scratch: a min-heap of heap_ positions (k-smallest
-  // traversal — visits O(window · log window) entries, never the whole
-  // heap) and the distinct hooked owners seen in the window, each with
-  // the fire time of its first window event.
-  std::vector<std::uint32_t> peek_heap_;
-  std::vector<std::pair<OwnerId, TimePoint>> window_owners_;
 
   // Per-event metrics, resolved once per installed registry instead of
   // by name on every schedule/fire.
@@ -277,13 +198,10 @@ class Simulator {
 };
 
 /// Repeats a callback at a fixed period until stopped or destroyed.
-/// The first firing happens one period after start(). `owner` tags each
-/// firing for the parallel loop's window planner (a leecher's download
-/// tick is owner-tagged; untagged tasks act as barriers).
+/// The first firing happens one period after start().
 class PeriodicTask {
  public:
-  PeriodicTask(Simulator& sim, Duration period, std::function<void()> fn,
-               OwnerId owner = kNoOwner);
+  PeriodicTask(Simulator& sim, Duration period, std::function<void()> fn);
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
   ~PeriodicTask();
@@ -298,7 +216,6 @@ class PeriodicTask {
   Simulator& sim_;
   Duration period_;
   std::function<void()> fn_;
-  OwnerId owner_ = kNoOwner;
   EventId event_ = kInvalidEventId;
   bool stopped_ = false;
 };

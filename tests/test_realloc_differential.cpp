@@ -472,27 +472,5 @@ TEST(ReallocDifferential, ChurnScenarioIdenticalScopedVsFull) {
   EXPECT_GT(scoped.churn_departures, 0u);
 }
 
-/// The parallel event loop composes: at 2, 4 and 8 lanes the scoped
-/// path is still byte-identical to the oracle (and to itself serially —
-/// the parallel-loop differential pins that part).
-TEST(ReallocDifferential, ParallelLanesIdenticalScopedVsFull) {
-  for (const int lanes : {2, 4, 8}) {
-    experiments::ScenarioConfig config;
-    config.bandwidth = Rate::kilobytes_per_second(256);
-    config.nodes = 20;
-    config.seed = 1;
-    config.loop_threads = lanes;
-
-    config.full_reallocation = false;
-    const auto scoped = experiments::run_scenario(config);
-    config.full_reallocation = true;
-    const auto oracle = experiments::run_scenario(config);
-
-    expect_identical_figures(oracle, scoped,
-                             "lanes=" + std::to_string(lanes));
-    EXPECT_GT(scoped.finished_viewers, 0u);
-  }
-}
-
 }  // namespace
 }  // namespace vsplice::net

@@ -110,7 +110,8 @@ TEST_P(NetworkChaos, BytesAreConservedUnderArrivalsAndAborts) {
     net::NodeSpec spec;
     spec.uplink = Rate::kilobytes_per_second(rng.uniform(32, 512));
     spec.downlink = Rate::kilobytes_per_second(rng.uniform(32, 512));
-    spec.one_way_delay = Duration::millis(1 + rng.index(50));
+    spec.one_way_delay =
+        Duration::millis(1 + static_cast<std::int64_t>(rng.index(50)));
     ids.push_back(network.add_node(spec));
   }
 

@@ -18,9 +18,7 @@
 //     tolerance (default 1e-9, effectively exact);
 //   - a metric present in the baseline but missing from the current run
 //     is a regression (a silently dropped check is the worst kind),
-//     unless it is machine-shaped (jobs / loop_threads /
-//     hardware_concurrency / parallel_loop_speedup), which is only a
-//     note;
+//     unless it is machine-shaped (a jobs count), which is only a note;
 //     new metrics are listed as notes. Added and removed keys also get
 //     their own sections in the markdown table so a renamed metric is
 //     impossible to miss.
@@ -255,7 +253,7 @@ struct Leaf {
   double number = 0;
 };
 
-/// Flattens nested objects/arrays into "checks.speedup_10x",
+/// Flattens nested objects/arrays into "checks.qoe_shape",
 /// "values.alloc_star_ns", "tables.stalls.series.4 sec[2]" paths.
 /// Strings (the "bench" name) are skipped — they are identity, not
 /// metrics.
@@ -299,7 +297,7 @@ enum class MetricKind {
 };
 
 /// The last '.'-separated component of a flattened path
-/// ("values.n100.4s.loop_threads" -> "loop_threads").
+/// ("values.n100.4s.wall_s" -> "wall_s").
 std::string_view last_segment(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   return std::string_view{path}.substr(
@@ -335,25 +333,9 @@ struct ClassRule {
 /// compared exactly.
 constexpr ClassRule kClassification[] = {
     // Machine-shaped keys: worker counts (e2e_jobs = one per hardware
-    // thread), lane counts, and the machine itself. Exact-segment
-    // matches only — listed before the unit-suffix rules so
-    // loop_threads-style keys never read as timings.
+    // thread).
     {ClassRule::Match::Segment, "e2e_jobs", MetricKind::Environment},
     {ClassRule::Match::Segment, "jobs", MetricKind::Environment},
-    {ClassRule::Match::Segment, "loop_threads", MetricKind::Environment},
-    {ClassRule::Match::Segment, "hardware_concurrency",
-     MetricKind::Environment},
-    // parallel_loop_speedup is serial-time / parallel-time on THIS
-    // machine: a 1-core runner records ~0.67x (lane overhead, no
-    // parallelism) while a multi-core runner's genuine 4x+ would read
-    // as a spurious six-fold "regression" against that baseline. The
-    // _2x check is likewise only emitted on machines with >= 8 hardware
-    // threads, so its *absence* must not gate (a recorded bool flip
-    // still does — the bool path runs before classification).
-    {ClassRule::Match::Segment, "parallel_loop_speedup",
-     MetricKind::Environment},
-    {ClassRule::Match::Segment, "parallel_loop_speedup_2x",
-     MetricKind::Environment},
     // Simulated-time figures (mean_startup_s, stall seconds) look like
     // timing metrics but are deterministic simulation output — compare
     // them exactly, before the unit-suffix rules can claim them.
@@ -657,19 +639,13 @@ int self_test() {
   static constexpr Pin kPins[] = {
       // machine-shaped: never compared, removal is only a note
       {"values.e2e_jobs", kEnv},
-      {"values.loop_threads", kEnv},
-      {"values.n10000.4s.loop_threads", kEnv},
-      {"values.hardware_concurrency", kEnv},
-      {"values.parallel_loop_speedup", kEnv},
-      {"checks.parallel_loop_speedup_2x", kEnv},  // emitted only on >=8 hw
+      {"values.n10000.4s.jobs", kEnv},
       // wall-clock measurements: gate at the 4x time tolerance
       {"values.alloc_star_ns", kTime},
       {"values.alloc_generic_ns", kTime},
       {"values.event_loop_seconds", kTime},
       {"values.e2e_serial_seconds", kTime},
       {"values.e2e_parallel_seconds", kTime},
-      {"values.parallel_loop_serial_s", kTime},
-      {"values.parallel_loop_parallel_s", kTime},
       {"values.n500.4s.wall_s", kTime},
       {"values.n500.4s.sched_wall_s", kTime},
       {"values.n500.4s.wall_s_per_sim_min", kTime},
@@ -702,7 +678,6 @@ int self_test() {
       {"values.e2e_speedup", kRate},
       {"values.speedup.n500.scheduling", kRate},
       {"values.speedup.n500.total", kRate},
-      {"checks.speedup_10x", kRate},  // bool path still decides flips
       // memory gauges: gate at 1.5x
       {"values.n500.4s.bytes_per_peer", kBytes},
       {"values.n500.4s.memory_total_bytes", kBytes},
@@ -712,11 +687,11 @@ int self_test() {
       {"values.n20.4s.segment_picks", kExact},
       {"values.n20.4s.mean_startup_s", kExact},
       {"tables.stalls.series.4 sec[0]", kExact},
+      {"tables.stall_seconds.series.GOP based[1]", kExact},
+      {"tables.startup_seconds.series.2 sec[0]", kExact},
       {"values.alloc_flows", kExact},
       {"values.event_loop_ops", kExact},
       {"values.cache.computations", kExact},
-      {"values.parallel_loop_adopted", kExact},
-      {"values.parallel_loop_recomputed", kExact},
       {"values.control.n200.coalescing_ratio", kExact},
       {"values.control.n200.bytes_saved", kExact},
       {"values.frontier.n50000.control_bytes_saved", kExact},
@@ -768,7 +743,7 @@ int self_test() {
   cur["values.count"] = Leaf{Leaf::Kind::Number, false, 43.0};
   base["values.gone_wall_s"] = Leaf{Leaf::Kind::Number, false, 1.0};
   base["values.gone_count"] = Leaf{Leaf::Kind::Number, false, 11.0};
-  base["values.gone.loop_threads"] = Leaf{Leaf::Kind::Number, false, 8.0};
+  base["values.gone.jobs"] = Leaf{Leaf::Kind::Number, false, 8.0};
   base["values.skipped_s"] = Leaf{Leaf::Kind::Null, false, 0};
   cur["values.skipped_s"] = Leaf{Leaf::Kind::Number, false, 9.0};
   cur["values.brand_new"] = Leaf{Leaf::Kind::Number, false, 7.0};
@@ -777,8 +752,8 @@ int self_test() {
   const std::vector<Row> rows = compare(base, cur, options, regressions);
   // check flipped, b_wall_s over limit, rate collapsed, count drifted,
   // gone_wall_s + gone_count (deterministic key removed) = 6
-  // regressions; a_wall_s ok; gone.loop_threads (machine-shaped
-  // removal), skipped_s, and brand_new are notes.
+  // regressions; a_wall_s ok; gone.jobs (machine-shaped removal),
+  // skipped_s, and brand_new are notes.
   EXPECT(regressions == 6);
   int notes = 0;
   int oks = 0;
@@ -791,8 +766,7 @@ int self_test() {
       EXPECT(row.verdict == "REGRESSION");
     if (row.path == "values.gone_count")
       EXPECT(row.verdict == "REGRESSION");
-    if (row.path == "values.gone.loop_threads")
-      EXPECT(row.verdict == "note");
+    if (row.path == "values.gone.jobs") EXPECT(row.verdict == "note");
   }
   EXPECT(notes == 3);
   EXPECT(oks == 1);
@@ -803,7 +777,7 @@ int self_test() {
   EXPECT(table.find("## Removed keys") != std::string::npos);
   EXPECT(table.find("## Added keys") != std::string::npos);
   EXPECT(table.find("- `values.gone_wall_s` (was 1)") != std::string::npos);
-  EXPECT(table.find("- `values.gone.loop_threads` (was 8) — note") !=
+  EXPECT(table.find("- `values.gone.jobs` (was 8) — note") !=
          std::string::npos);
   EXPECT(table.find("- `values.brand_new` = 7") != std::string::npos);
 
