@@ -147,6 +147,9 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
   cap_.resize(n);
   alloc_.assign(n, 0.0);
   fixed_.assign(n, 0);
+  // Smallest cap among still-active flows. Each round's flow pass
+  // carries it into the next round, so no round rescans for it.
+  double min_cap = kInf;
   for (std::size_t f = 0; f < n; ++f) {
     const StarFlowSpec& flow = flows[f];
     require(flow.uplink < links && flow.downlink < links,
@@ -155,6 +158,7 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
     ++active_[flow.uplink];
     ++active_[flow.downlink];
     cap_[f] = flow.cap.is_infinite() ? kInf : flow.cap.bytes_per_second();
+    min_cap = std::min(min_cap, cap_[f]);
   }
 
   std::size_t active_flows = n;
@@ -171,19 +175,15 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
     }
   };
 
+  share_.resize(links);
   while (active_flows > 0) {
-    // Equal share offered by the currently most constrained link.
+    // Equal share offered by the currently most constrained link. The
+    // per-link shares are kept: a bottleneck round compares them again.
     double min_link_share = kInf;
     for (std::size_t l = 0; l < links; ++l) {
       if (active_[l] == 0) continue;
-      min_link_share = std::min(
-          min_link_share, remaining_[l] / static_cast<double>(active_[l]));
-    }
-
-    // Smallest cap among still-active flows.
-    double min_cap = kInf;
-    for (std::size_t f = 0; f < n; ++f) {
-      if (fixed_[f] == 0) min_cap = std::min(min_cap, cap_[f]);
+      share_[l] = remaining_[l] / static_cast<double>(active_[l]);
+      min_link_share = std::min(min_link_share, share_[l]);
     }
 
     const double level = std::min(min_link_share, min_cap);
@@ -197,37 +197,43 @@ void StarAllocator::allocate(const std::vector<StarFlowSpec>& flows,
     }
 
     const double threshold = level * (1.0 + kEps) + 1e-12;
+    double next_min_cap = kInf;  // over the flows this round leaves unfixed
 
     // First settle flows whose own cap binds at (or below) this level:
     // they take less than their equal share, freeing capacity for others.
-    bool fixed_by_cap = false;
-    for (std::size_t f = 0; f < n; ++f) {
-      if (fixed_[f] == 0 && cap_[f] <= threshold) {
-        fix_flow(f, cap_[f]);
-        fixed_by_cap = true;
+    // Some cap binds exactly when the smallest one does, so a round
+    // whose caps all stay above the threshold skips this pass.
+    if (min_cap <= threshold) {
+      for (std::size_t f = 0; f < n; ++f) {
+        if (fixed_[f] != 0) continue;
+        if (cap_[f] <= threshold) {
+          fix_flow(f, cap_[f]);
+        } else {
+          next_min_cap = std::min(next_min_cap, cap_[f]);
+        }
       }
+      min_cap = next_min_cap;
+      continue;
     }
-    if (fixed_by_cap) continue;
 
     // Otherwise the level came from a bottleneck link: freeze every flow
-    // crossing a link whose share equals the level.
-    bottleneck_.assign(links, 0);
-    for (std::size_t l = 0; l < links; ++l) {
-      if (active_[l] == 0) continue;
-      const double share = remaining_[l] / static_cast<double>(active_[l]);
-      if (share <= threshold) bottleneck_[l] = 1;
-    }
+    // crossing a link whose share equals the level. No flow was fixed
+    // since the shares were taken, and an unfixed flow's links are all
+    // active, so share_ holds their current values.
     bool fixed_any = false;
     for (std::size_t f = 0; f < n; ++f) {
-      if (fixed_[f] == 0 &&
-          (bottleneck_[0] != 0 || bottleneck_[flows[f].uplink] != 0 ||
-           bottleneck_[flows[f].downlink] != 0)) {
+      if (fixed_[f] != 0) continue;
+      if (share_[0] <= threshold || share_[flows[f].uplink] <= threshold ||
+          share_[flows[f].downlink] <= threshold) {
         fix_flow(f, level);
         fixed_any = true;
+      } else {
+        next_min_cap = std::min(next_min_cap, cap_[f]);
       }
     }
     check_invariant(fixed_any,
                     "star allocation made no progress; bad input?");
+    min_cap = next_min_cap;
   }
 
   out.resize(n);

@@ -73,7 +73,8 @@ class StarAllocator {
                                       active_.capacity() * sizeof(std::uint32_t) +
                                       cap_.capacity() * sizeof(double) +
                                       alloc_.capacity() * sizeof(double) +
-                                      fixed_.capacity() + bottleneck_.capacity());
+                                      fixed_.capacity() +
+                                      share_.capacity() * sizeof(double));
   }
 
  private:
@@ -83,7 +84,7 @@ class StarAllocator {
   std::vector<double> cap_;              // per flow: cap in B/s (inf = none)
   std::vector<double> alloc_;            // per flow: assigned rate
   std::vector<unsigned char> fixed_;     // per flow: frozen at alloc_
-  std::vector<unsigned char> bottleneck_;  // per link: binds this round
+  std::vector<double> share_;            // per link: this round's share
 };
 
 }  // namespace vsplice::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -14,6 +15,9 @@ namespace {
 // A flow is done when less than this many bytes remain; absorbs the
 // microsecond rounding of completion times.
 constexpr double kDoneTolerance = 1e-3;
+
+// flow_order_ tombstone: the flow that held this position is gone.
+constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
 // Flow lifetime/size distributions for the metrics registry.
 constexpr obs::HistogramSpec kFlowSecondsSpec{0.0, 1.0, 120};
@@ -124,38 +128,74 @@ double Network::path_loss(NodeId a, NodeId b) const {
   return 1.0 - (1.0 - node(a).loss) * (1.0 - node(b).loss);
 }
 
-void Network::link_flow(FlowId id, Flow& flow) {
-  const LinkId up = uplink_of(flow.src);
-  const LinkId down = downlink_of(flow.dst);
-  auto& up_list = link_flows_[up.value];
+void Network::link_flow(std::uint32_t slot) {
+  Flow& flow = flows_[slot];
+  const std::uint32_t up = uplink_of(flow.src).value;
+  const std::uint32_t down = downlink_of(flow.dst).value;
+  auto& up_list = link_flows_[up];
   flow.up_pos = static_cast<std::uint32_t>(up_list.size());
-  up_list.emplace_back(id, &flow);
-  auto& down_list = link_flows_[down.value];
+  up_list.push_back(slot);
+  auto& down_list = link_flows_[down];
   flow.down_pos = static_cast<std::uint32_t>(down_list.size());
-  down_list.emplace_back(id, &flow);
-  effective_capacity_[down.value] =
-      derated_capacity(down, down_list.size());
-  seed_links_.push_back(up.value);
-  seed_links_.push_back(down.value);
+  down_list.push_back(slot);
+  effective_capacity_[down] =
+      derated_capacity(LinkId{down}, down_list.size());
+  seed_links_.push_back(up);
+  seed_links_.push_back(down);
 }
 
-void Network::unlink_flow(Flow& flow) {
-  const LinkId up = uplink_of(flow.src);
-  const LinkId down = downlink_of(flow.dst);
-  auto& up_list = link_flows_[up.value];
+void Network::unlink_flow(const Flow& flow) {
+  const std::uint32_t up = uplink_of(flow.src).value;
+  const std::uint32_t down = downlink_of(flow.dst).value;
+  auto& up_list = link_flows_[up];
   up_list[flow.up_pos] = up_list.back();
   up_list.pop_back();
   if (flow.up_pos < up_list.size())
-    up_list[flow.up_pos].second->up_pos = flow.up_pos;
-  auto& down_list = link_flows_[down.value];
+    flows_[up_list[flow.up_pos]].up_pos = flow.up_pos;
+  auto& down_list = link_flows_[down];
   down_list[flow.down_pos] = down_list.back();
   down_list.pop_back();
   if (flow.down_pos < down_list.size())
-    down_list[flow.down_pos].second->down_pos = flow.down_pos;
-  effective_capacity_[down.value] =
-      derated_capacity(down, down_list.size());
-  seed_links_.push_back(up.value);
-  seed_links_.push_back(down.value);
+    flows_[down_list[flow.down_pos]].down_pos = flow.down_pos;
+  effective_capacity_[down] =
+      derated_capacity(LinkId{down}, down_list.size());
+  seed_links_.push_back(up);
+  seed_links_.push_back(down);
+}
+
+std::uint32_t Network::find_slot(FlowId id) const {
+  const auto slot = static_cast<std::uint32_t>(id.value >> 32);
+  if (slot >= flows_.size() ||
+      flow_generation_[slot] != static_cast<std::uint32_t>(id.value)) {
+    return kNoSlot;  // finished, aborted, or never issued
+  }
+  return slot;
+}
+
+FlowId Network::flow_id(std::uint32_t slot) const {
+  return FlowId{(static_cast<std::uint64_t>(slot) << 32) |
+                flow_generation_[slot]};
+}
+
+Network::Flow Network::release_slot(std::uint32_t slot) {
+  flow_order_[flows_[slot].order_pos] = kNoSlot;
+  ++order_garbage_;
+  if (order_garbage_ > flow_order_.size() - order_garbage_) {
+    // Stable compaction: start order survives, positions are rewritten.
+    std::size_t live = 0;
+    for (const std::uint32_t s : flow_order_) {
+      if (s == kNoSlot) continue;
+      flows_[s].order_pos = static_cast<std::uint32_t>(live);
+      flow_order_[live++] = s;
+    }
+    flow_order_.resize(live);
+    order_garbage_ = 0;
+  }
+  // Bump the generation so the outstanding id goes stale, then recycle
+  // the slot (connection-registry-style freelist).
+  ++flow_generation_[slot];
+  free_flow_slots_.push_back(slot);
+  return std::exchange(flows_[slot], Flow{});
 }
 
 FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size, Rate cap,
@@ -167,11 +207,21 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size, Rate cap,
   (void)node(src);
   (void)node(dst);
 
-  const FlowId id{next_flow_++};
+  std::uint32_t slot;
+  if (!free_flow_slots_.empty()) {
+    slot = free_flow_slots_.back();
+    free_flow_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
+    // Generation starts at 1, so an id is never 0 and FlowId{} never
+    // resolves.
+    flow_generation_.push_back(1);
+  }
   ++stats_.flows_started;
   obs::count("net.flows_started");
 
-  Flow flow;
+  Flow& flow = flows_[slot];
   flow.src = src;
   flow.dst = dst;
   flow.started = sim_.now();
@@ -180,31 +230,40 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size, Rate cap,
   flow.remaining = static_cast<double>(size);
   flow.cap = cap;
   flow.callbacks = std::move(callbacks);
-  const auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  link_flow(id, it->second);
-  seed_flows_.push_back(id);
+  flow.order_pos = static_cast<std::uint32_t>(flow_order_.size());
+  flow_order_.push_back(slot);
+  link_flow(slot);
+  seed_flows_.push_back(slot);
   reallocate();
-  return id;
+  return flow_id(slot);
 }
 
 void Network::set_flow_cap(FlowId id, Rate cap) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  it->second.cap = cap;
+  const std::uint32_t slot = find_slot(id);
+  if (slot == kNoSlot) return;
+  Flow& flow = flows_[slot];
+  // A raise on a flow running below its old cap changes no rate, in
+  // either reallocation mode: that cap never set a round's level (a
+  // binding cap fixes its flow in that round, at exactly the cap) and
+  // never fixed the flow (the cap pass precedes the bottleneck pass),
+  // so every progressive-filling round repeats bit for bit (DESIGN.md
+  // §16). Store it and skip the reallocation.
+  const bool noop_raise = cap >= flow.cap && flow.rate < flow.cap;
+  flow.cap = cap;
+  if (noop_raise) return;
   // The flow itself is always in the component (its links may both be
   // infinite, in which case nobody else is affected).
-  seed_flows_.push_back(id);
+  seed_flows_.push_back(slot);
   reallocate();
 }
 
-Network::AbortedFlow Network::remove_aborted(
-    std::map<FlowId, Flow>::iterator it) {
-  settle_flow(it->second);
-  unlink_flow(it->second);
-  Flow flow = std::move(it->second);
-  if (flow.completion_event != sim::kInvalidEventId)
-    sim_.cancel(flow.completion_event);
-  flows_.erase(it);
+Network::AbortedFlow Network::remove_aborted(std::uint32_t slot) {
+  Flow& live = flows_[slot];
+  settle_flow(live);
+  unlink_flow(live);
+  if (live.completion_event != sim::kInvalidEventId)
+    sim_.cancel(live.completion_event);
+  Flow flow = release_slot(slot);
   ++stats_.flows_aborted;
   obs::count("net.flows_aborted");
   const double delivered = std::max(0.0, flow.total - flow.remaining);
@@ -214,9 +273,9 @@ Network::AbortedFlow Network::remove_aborted(
 }
 
 bool Network::abort_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  AbortedFlow aborted = remove_aborted(it);
+  const std::uint32_t slot = find_slot(id);
+  if (slot == kNoSlot) return false;
+  AbortedFlow aborted = remove_aborted(slot);
   // Rates are recomputed before the callback runs: on_abort must never
   // observe the departed flow's share still allocated to nobody.
   reallocate();
@@ -225,34 +284,41 @@ bool Network::abort_flow(FlowId id) {
 }
 
 void Network::abort_flows_for(NodeId nodeid) {
-  // Remove every matching flow first, then reallocate ONCE; the owed
-  // callbacks run last (in FlowId order) against the updated table.
-  std::vector<AbortedFlow> aborted;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.src == nodeid || it->second.dst == nodeid) {
-      aborted.push_back(remove_aborted(it++));
-    } else {
-      ++it;
+  // Remove every matching flow first (in start order), then reallocate
+  // ONCE; the owed callbacks run last, in the same order, against the
+  // updated table. Removal tombstones flow_order_, so collect first.
+  std::vector<std::uint32_t> doomed;
+  for (const std::uint32_t slot : flow_order_) {
+    if (slot != kNoSlot &&
+        (flows_[slot].src == nodeid || flows_[slot].dst == nodeid)) {
+      doomed.push_back(slot);
     }
   }
-  if (aborted.empty()) return;
+  if (doomed.empty()) return;
+  std::vector<AbortedFlow> aborted;
+  aborted.reserve(doomed.size());
+  for (const std::uint32_t slot : doomed) {
+    aborted.push_back(remove_aborted(slot));
+  }
   reallocate();
   for (AbortedFlow& flow : aborted) {
     if (flow.callbacks.on_abort) flow.callbacks.on_abort(flow.delivered);
   }
 }
 
-bool Network::flow_active(FlowId id) const { return flows_.contains(id); }
+bool Network::flow_active(FlowId id) const {
+  return find_slot(id) != kNoSlot;
+}
 
 Rate Network::flow_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? Rate::zero() : it->second.rate;
+  const std::uint32_t slot = find_slot(id);
+  return slot == kNoSlot ? Rate::zero() : flows_[slot].rate;
 }
 
 Bytes Network::flow_remaining(FlowId id) const {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return 0;
-  const Flow& flow = it->second;
+  const std::uint32_t slot = find_slot(id);
+  if (slot == kNoSlot) return 0;
+  const Flow& flow = flows_[slot];
   return static_cast<Bytes>(
       std::max(0.0, flow.remaining - accrued_bytes(flow)));
 }
@@ -272,14 +338,16 @@ double Network::accrued_bytes(const Flow& flow) const {
 double Network::accrued_on_link(LinkId link) const {
   const auto& list = link_flows_[link.value];
   if (list.empty()) return 0.0;
-  // Sum in FlowId order: the per-link index is swap-remove-unordered,
+  // Sum in start order: the per-link index is swap-remove-unordered,
   // and the accumulation order must not depend on it.
-  query_scratch_.clear();
-  for (const auto& [id, flow] : list) query_scratch_.emplace_back(id, flow);
+  query_scratch_.assign(list.begin(), list.end());
   std::sort(query_scratch_.begin(), query_scratch_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [&](std::uint32_t a, std::uint32_t b) {
+              return flows_[a].order_pos < flows_[b].order_pos;
+            });
   double sum = 0.0;
-  for (const auto& [id, flow] : query_scratch_) sum += accrued_bytes(*flow);
+  for (const std::uint32_t slot : query_scratch_)
+    sum += accrued_bytes(flows_[slot]);
   return sum;
 }
 
@@ -297,7 +365,9 @@ Bytes Network::downloaded_by(NodeId id) const {
 
 double Network::bytes_delivered() const {
   double total = stats_.bytes_delivered;
-  for (const auto& [id, flow] : flows_) total += accrued_bytes(flow);
+  for (const std::uint32_t slot : flow_order_) {
+    if (slot != kNoSlot) total += accrued_bytes(flows_[slot]);
+  }
   return total;
 }
 
@@ -330,13 +400,14 @@ void Network::settle_flow(Flow& flow) {
 
 void Network::compute_effective_capacities() {
   scratch_capacity_.assign(link_capacity_.begin(), link_capacity_.end());
-  if (tcp_.parallel_loss_factor <= 0.0 || flows_.empty()) return;
+  if (tcp_.parallel_loss_factor <= 0.0 || active_flow_count() == 0) return;
   // Count concurrent flows per downlink (link ids 2, 4, 6, ... — the
   // receiver side, where a streaming client's parallel downloads pile
   // up) and derate the aggregate goodput accordingly.
   downlink_flows_.assign(link_capacity_.size(), 0);
-  for (const auto& [id, flow] : flows_) {
-    ++downlink_flows_[downlink_of(flow.dst).value];
+  for (const std::uint32_t slot : flow_order_) {
+    if (slot == kNoSlot) continue;
+    ++downlink_flows_[downlink_of(flows_[slot].dst).value];
   }
   for (std::size_t l = 2; l < downlink_flows_.size(); l += 2) {
     const std::uint32_t n = downlink_flows_[l];
@@ -352,7 +423,7 @@ void Network::reallocate() {
   check_invariant(!in_reallocate_, "reallocate is not reentrant");
   in_reallocate_ = true;
   ++stats_.reallocations;
-  stats_.flows_active_integral += flows_.size();
+  stats_.flows_active_integral += active_flow_count();
 
   // A finite hub trunk couples every flow into one component, so the
   // scoped walk would visit everything anyway: force the full path in
@@ -362,7 +433,7 @@ void Network::reallocate() {
   pending_full_ = false;
 
   scratch_specs_.clear();
-  scratch_flows_.clear();
+  scratch_slots_.clear();
   bool solved = false;  // a compact subproblem was already allocated
   if (!forced_full) {
     ++stats_.reallocations_scoped;
@@ -380,12 +451,13 @@ void Network::reallocate() {
       link_mark_[l] = epoch;
       link_stack_.push_back(l);
     };
-    const auto add_flow = [&](FlowId id, Flow* flow) {
-      if (flow->mark == epoch) return;
-      flow->mark = epoch;
-      scratch_flows_.emplace_back(id, flow);
-      const std::uint32_t up = uplink_of(flow->src).value;
-      const std::uint32_t down = downlink_of(flow->dst).value;
+    const auto add_flow = [&](std::uint32_t slot) {
+      Flow& flow = flows_[slot];
+      if (flow.mark == epoch) return;
+      flow.mark = epoch;
+      scratch_slots_.push_back(slot);
+      const std::uint32_t up = uplink_of(flow.src).value;
+      const std::uint32_t down = downlink_of(flow.dst).value;
       if (couples(up)) push_link(up);
       if (couples(down)) push_link(down);
     };
@@ -394,27 +466,30 @@ void Network::reallocate() {
       if (couples(l)) push_link(l);
     seed_force_links_.clear();
     seed_links_.clear();
-    for (const FlowId id : seed_flows_) {
-      const auto it = flows_.find(id);
-      if (it != flows_.end()) add_flow(id, &it->second);
-    }
+    for (const std::uint32_t slot : seed_flows_) add_flow(slot);
     seed_flows_.clear();
     while (!link_stack_.empty()) {
       const std::uint32_t l = link_stack_.back();
       link_stack_.pop_back();
-      for (const auto& [id, flow] : link_flows_[l]) add_flow(id, flow);
+      for (const std::uint32_t slot : link_flows_[l]) add_flow(slot);
     }
-    // The allocator iterates flows in index order when fixing rates;
-    // sort so that order is FlowId order, exactly like the full path.
-    std::sort(scratch_flows_.begin(), scratch_flows_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    stats_.flows_retouched += scratch_flows_.size();
+    stats_.flows_retouched += scratch_slots_.size();
     if (!full_reallocation_) {
-      if (!scratch_flows_.empty()) {
+      if (scratch_slots_.size() > 1) {
+        // The allocator fixes rates in index order, so the component
+        // must be in start order, exactly like the full path: one pass
+        // over the start-ordered list replaces the BFS discovery order.
+        scratch_slots_.clear();
+        for (const std::uint32_t slot : flow_order_) {
+          if (slot != kNoSlot && flows_[slot].mark == epoch)
+            scratch_slots_.push_back(slot);
+        }
+      }
+      if (!scratch_slots_.empty()) {
         // Compact subproblem: remap the component's links to dense ids
         // (hub stays 0) and allocate over those alone. Link order is
         // irrelevant to the result — per-round levels are value-mins and
-        // the fix order is the (sorted) flow order.
+        // the fix order is the (start-ordered) flow order.
         scratch_capacity_.clear();
         scratch_capacity_.push_back(effective_capacity_[0]);
         const auto compact_of = [&](std::uint32_t l) {
@@ -426,11 +501,11 @@ void Network::reallocate() {
           }
           return link_compact_[l];
         };
-        for (const auto& [id, flow] : scratch_flows_) {
+        for (const std::uint32_t slot : scratch_slots_) {
+          const Flow& flow = flows_[slot];
           scratch_specs_.push_back(
-              StarFlowSpec{compact_of(uplink_of(flow->src).value),
-                           compact_of(downlink_of(flow->dst).value),
-                           flow->cap});
+              StarFlowSpec{compact_of(uplink_of(flow.src).value),
+                           compact_of(downlink_of(flow.dst).value), flow.cap});
         }
         allocator_.allocate(scratch_specs_, scratch_capacity_,
                             scratch_rates_);
@@ -440,44 +515,46 @@ void Network::reallocate() {
       // Oracle mode: the dirty-set walk above ran for its counters only
       // — flipping VSPLICE_FULL_REALLOC on must change nothing
       // observable but wall time. Discard the component and rescan.
-      scratch_flows_.clear();
+      scratch_slots_.clear();
     }
   } else {
     seed_links_.clear();
     seed_force_links_.clear();
     seed_flows_.clear();
-    stats_.flows_retouched += flows_.size();
+    stats_.flows_retouched += active_flow_count();
   }
   if (!solved) {
     // Independent recomputation of the derated capacities — the scoped
     // path's incrementally-maintained effective_capacity_ must agree
     // (the differential suite compares the resulting rates).
     compute_effective_capacities();
-    for (auto& [id, flow] : flows_) {  // FlowId order: map is sorted
+    for (const std::uint32_t slot : flow_order_) {  // start order
+      if (slot == kNoSlot) continue;
+      const Flow& flow = flows_[slot];
       scratch_specs_.push_back(StarFlowSpec{uplink_of(flow.src).value,
                                             downlink_of(flow.dst).value,
                                             flow.cap});
-      scratch_flows_.emplace_back(id, &flow);
+      scratch_slots_.push_back(slot);
     }
     allocator_.allocate(scratch_specs_, scratch_capacity_, scratch_rates_);
   }
 
-  for (std::size_t i = 0; i < scratch_flows_.size(); ++i) {
-    Flow& flow = *scratch_flows_[i].second;
+  for (std::size_t i = 0; i < scratch_slots_.size(); ++i) {
+    Flow& flow = flows_[scratch_slots_[i]];
     const Rate new_rate = scratch_rates_[i];
     // A completion event stays valid while the rate it was derived from
     // holds: the event time is absolute, and progress accrues at exactly
     // that rate until the next reallocation. Only a rate change (or a
     // flow that needs an event and has none) forces a reschedule — and
     // only then does the flow settle, so both reallocation modes settle
-    // the same flows at the same events in the same (FlowId) order.
+    // the same flows at the same events in the same (start) order.
     const bool needs_event =
         flow.completion_event == sim::kInvalidEventId &&
         (flow.remaining <= kDoneTolerance || !new_rate.is_zero());
     if (new_rate != flow.rate || needs_event) {
       settle_flow(flow);
       flow.rate = new_rate;
-      schedule_completion(scratch_flows_[i].first, flow);
+      schedule_completion(flow_id(scratch_slots_[i]), flow);
     }
   }
   in_reallocate_ = false;
@@ -553,9 +630,9 @@ Connection* Network::find_connection(std::uint64_t id) const {
 }
 
 void Network::finish_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  check_invariant(it != flows_.end(), "completion event for unknown flow");
-  Flow& flow = it->second;
+  const std::uint32_t slot = find_slot(id);
+  check_invariant(slot != kNoSlot, "completion event for unknown flow");
+  Flow& flow = flows_[slot];
   flow.completion_event = sim::kInvalidEventId;
   settle_flow(flow);
   if (flow.remaining > kDoneTolerance) {
@@ -564,8 +641,7 @@ void Network::finish_flow(FlowId id) {
     return;
   }
   unlink_flow(flow);
-  Flow done = std::move(flow);
-  flows_.erase(it);
+  const Flow done = release_slot(slot);
   ++stats_.flows_completed;
   obs::count("net.flows_completed");
   obs::count("net.bytes_delivered",

@@ -10,18 +10,22 @@
 // Hot-path design (see DESIGN.md §9 and §16): the allocation runs through
 // the star-specialized StarAllocator over scratch buffers owned by this
 // Network, so a reallocation performs no heap allocations in steady
-// state. Reallocation is *scoped*: per-link flow indexes let each flow
-// event propagate a dirty set through the water-filling coupling graph
-// (flows couple only through finite-capacity links) and recompute rates
-// for the affected connected component alone — untouched flows keep
-// their rates and completion events. Progress accounting is *lazy*: each
-// flow carries its own last_advanced timestamp and accrues bytes at its
-// constant rate; bytes are settled into the ledgers exactly when a
-// flow's rate changes, at completion/abort, and virtually (without
-// mutating) in queries. The pre-PR-10 full-rescan path is retained as a
-// runtime-selectable oracle (set_full_reallocation /
+// state. Flows live in a dense slot table with generation-tagged ids and
+// a start-ordered slot list, so lookup is O(1) and every walk that must
+// be deterministic runs in flow start order without sorting.
+// Reallocation is *scoped*: per-link flow indexes let each flow event
+// propagate a dirty set through the water-filling coupling graph (flows
+// couple only through finite-capacity links) and recompute rates for the
+// affected connected component alone — untouched flows keep their rates
+// and completion events. A cap raise on a flow running below its old cap
+// cannot move any rate and reallocates nothing. Progress accounting is
+// *lazy*: each flow carries its own last_advanced timestamp and accrues
+// bytes at its constant rate; bytes are settled into the ledgers exactly
+// when a flow's rate changes, at completion/abort, and virtually
+// (without mutating) in queries. The original full-rescan path is
+// retained as a runtime-selectable oracle (set_full_reallocation /
 // VSPLICE_FULL_REALLOC=1) and is byte-identical to the scoped path by
-// construction: both settle the same flows at the same events in FlowId
+// construction: both settle the same flows at the same events in start
 // order, and a component's progressive-filling rounds reproduce the
 // global rounds' arithmetic exactly (DESIGN.md §16).
 //
@@ -35,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/units.h"
@@ -139,6 +142,8 @@ class Network {
                     FlowCallbacks callbacks);
 
   /// Updates a flow's cap (slow-start ramp). No-op for finished flows.
+  /// A raise on a flow whose rate is below its old cap only stores the
+  /// cap: that cap never bound, so no rate can move (DESIGN.md §16).
   void set_flow_cap(FlowId id, Rate cap);
 
   /// Aborts a flow; returns false if it already finished.
@@ -146,15 +151,15 @@ class Network {
 
   /// Aborts every flow with `node` as source or destination (peer churn).
   /// All matching flows are removed first and the rates recomputed once;
-  /// the on_abort callbacks then run in FlowId order against the fully
-  /// updated table.
+  /// the on_abort callbacks then run in flow start order against the
+  /// fully updated table.
   void abort_flows_for(NodeId node);
 
   [[nodiscard]] bool flow_active(FlowId id) const;
   [[nodiscard]] Rate flow_rate(FlowId id) const;
   [[nodiscard]] Bytes flow_remaining(FlowId id) const;
   [[nodiscard]] std::size_t active_flow_count() const {
-    return flows_.size();
+    return flow_order_.size() - order_garbage_;
   }
 
   /// Bytes this node has sent / received over completed+partial flows.
@@ -172,23 +177,24 @@ class Network {
   [[nodiscard]] const TcpParams& tcp() const { return tcp_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// Bytes held by the flow table, per-node accounting, per-link flow
-  /// indexes, connection registry and effective-capacity slab
-  /// (capacity-based; see obs/resource.h). The ordered flow map is
-  /// approximated as one red-black node (3 pointers + color word) per
-  /// entry. Reallocation/query scratch is deliberately excluded: its
-  /// high-water mark depends on whether the scoped path or the
-  /// full-rescan oracle ran, and accounting it would break the
+  /// Bytes held by the flow table (slots, generations, free list and
+  /// start-ordered list), per-node accounting, per-link flow indexes,
+  /// connection registry and effective-capacity slab (capacity-based;
+  /// see obs/resource.h). Reallocation/query scratch is deliberately
+  /// excluded: its high-water mark depends on whether the scoped path or
+  /// the full-rescan oracle ran, and accounting it would break the
   /// scoped/full byte-identity of ScenarioResult.
   [[nodiscard]] std::uint64_t memory_bytes() const {
-    const std::uint64_t map_node =
-        sizeof(std::pair<FlowId, Flow>) + 4 * sizeof(void*);
     std::uint64_t link_lists = 0;
     for (const auto& list : link_flows_) {
       link_lists += static_cast<std::uint64_t>(list.capacity()) *
-                    sizeof(std::pair<FlowId, Flow*>);
+                    sizeof(std::uint32_t);
     }
-    return static_cast<std::uint64_t>(flows_.size()) * map_node +
+    return static_cast<std::uint64_t>(flows_.capacity()) * sizeof(Flow) +
+           static_cast<std::uint64_t>(flow_generation_.capacity() +
+                                      free_flow_slots_.capacity() +
+                                      flow_order_.capacity()) *
+               sizeof(std::uint32_t) +
            static_cast<std::uint64_t>(nodes_.capacity()) * sizeof(NodeSpec) +
            static_cast<std::uint64_t>(link_capacity_.capacity() +
                                       effective_capacity_.capacity()) *
@@ -202,7 +208,7 @@ class Network {
                                       free_connection_slots_.capacity()) *
                sizeof(std::uint32_t) +
            static_cast<std::uint64_t>(link_flows_.capacity()) *
-               sizeof(std::vector<std::pair<FlowId, Flow*>>) +
+               sizeof(std::vector<std::uint32_t>) +
            link_lists +
            static_cast<std::uint64_t>(link_mark_.capacity() +
                                       link_remap_mark_.capacity()) *
@@ -236,10 +242,13 @@ class Network {
     Rate rate = Rate::zero();
     FlowCallbacks callbacks;
     sim::EventId completion_event = sim::kInvalidEventId;
-    /// Position inside link_flows_[uplink] / link_flows_[downlink]
+    /// Position inside the flow's uplink / downlink list in link_flows_
     /// (swap-remove bookkeeping).
     std::uint32_t up_pos = 0;
     std::uint32_t down_pos = 0;
+    /// Position inside flow_order_; increases with start order, so it
+    /// is accrued_on_link's sort key.
+    std::uint32_t order_pos = 0;
     /// Dirty-component epoch stamp (matches component_epoch_ while the
     /// flow is in the component being rebuilt).
     std::uint64_t mark = 0;
@@ -254,15 +263,23 @@ class Network {
   [[nodiscard]] LinkId uplink_of(NodeId id) const;
   [[nodiscard]] LinkId downlink_of(NodeId id) const;
 
+  /// Slot of a live flow, or kNoSlot for a finished/unknown id.
+  [[nodiscard]] std::uint32_t find_slot(FlowId id) const;
+  [[nodiscard]] FlowId flow_id(std::uint32_t slot) const;
+  /// Tombstones the slot's flow_order_ entry (compacting the list once
+  /// tombstones outnumber live flows), retires its generation and
+  /// recycles it, and returns the flow moved out of the table.
+  Flow release_slot(std::uint32_t slot);
+
   /// Folds a flow's accrued bytes since last_advanced into remaining and
   /// the uploaded/downloaded/bytes_delivered ledgers. Called exactly
   /// when the flow's rate is about to change and at completion/abort —
-  /// in FlowId order when several settle at once — so the accumulation
+  /// in start order when several settle at once — so the accumulation
   /// order is identical for the scoped path and the full-rescan oracle.
   void settle_flow(Flow& flow);
   /// Bytes the flow has accrued since last_advanced (virtual read).
   [[nodiscard]] double accrued_bytes(const Flow& flow) const;
-  /// Sum of accrued bytes over the flows on one access link, in FlowId
+  /// Sum of accrued bytes over the flows on one access link, in start
   /// order (deterministic FP accumulation for the query paths).
   [[nodiscard]] double accrued_on_link(LinkId link) const;
 
@@ -271,9 +288,9 @@ class Network {
   [[nodiscard]] Rate derated_capacity(LinkId link, std::size_t flows) const;
   /// Inserts the flow into its two link lists, refreshes the
   /// destination downlink's derated capacity, and seeds the dirty set.
-  void link_flow(FlowId id, Flow& flow);
+  void link_flow(std::uint32_t slot);
   /// Swap-removes the flow from its two link lists; otherwise as above.
-  void unlink_flow(Flow& flow);
+  void unlink_flow(const Flow& flow);
 
   /// Fills scratch_capacity_ with link capacities, derating
   /// oversubscribed downlinks by the parallel-TCP goodput penalty —
@@ -290,7 +307,7 @@ class Network {
   /// Removes the flow (settling it and cancelling its event) and records
   /// the abort; the owed on_abort callback is returned for the caller to
   /// run after reallocation.
-  AbortedFlow remove_aborted(std::map<FlowId, Flow>::iterator it);
+  AbortedFlow remove_aborted(std::uint32_t slot);
   void finish_flow(FlowId id);
   void credit_transfer(const Flow& flow, double bytes);
 
@@ -302,11 +319,16 @@ class Network {
   /// link_capacity_ with the parallel-TCP downlink derate applied,
   /// maintained incrementally as flows come and go (DESIGN.md §16).
   std::vector<Rate> effective_capacity_;
-  /// Ordered: reallocation iterates flows in FlowId order directly, so
-  /// determinism needs no per-call id sort. Map nodes are stable, so
-  /// link_flows_ may hold Flow pointers.
-  std::map<FlowId, Flow> flows_;
-  std::uint64_t next_flow_ = 1;
+  /// Dense flow table (DESIGN.md §16): FlowId = slot << 32 | generation,
+  /// like sim::EventId and the connection registry, so lookup is O(1)
+  /// and a stale id misses. flow_order_ lists the live slots in start
+  /// order; removal leaves a kNoSlot tombstone, and the list is
+  /// compacted once tombstones outnumber live flows.
+  std::vector<Flow> flows_;
+  std::vector<std::uint32_t> flow_generation_;
+  std::vector<std::uint32_t> free_flow_slots_;
+  std::vector<std::uint32_t> flow_order_;
+  std::size_t order_garbage_ = 0;
   std::vector<double> uploaded_;
   std::vector<double> downloaded_;
   NetworkStats stats_;
@@ -322,16 +344,16 @@ class Network {
   std::vector<std::uint32_t> connection_generation_;
   std::vector<std::uint32_t> free_connection_slots_;
 
-  /// Per-link flow index: the flows crossing each access link
-  /// (unordered; swap-remove keeps removal O(1), up_pos/down_pos track
-  /// positions). The hub trunk's entry (link 0) stays empty — a finite
-  /// hub couples everything and forces the full-rescan path instead.
-  std::vector<std::vector<std::pair<FlowId, Flow*>>> link_flows_;
+  /// Per-link flow index: the slots of the flows crossing each access
+  /// link (unordered; swap-remove keeps removal O(1), up_pos/down_pos
+  /// track positions). The hub trunk's entry (link 0) stays empty — a
+  /// finite hub couples everything and forces the full-rescan path.
+  std::vector<std::vector<std::uint32_t>> link_flows_;
 
   // Dirty-set seeds, consumed by the next reallocate().
   std::vector<std::uint32_t> seed_links_;        // expand iff coupling
   std::vector<std::uint32_t> seed_force_links_;  // capacity changed: always
-  std::vector<FlowId> seed_flows_;               // always in the component
+  std::vector<std::uint32_t> seed_flows_;        // slots; always in it
 
   // Component-closure scratch (epoch-stamped marks: no per-event clears).
   std::uint64_t component_epoch_ = 0;
@@ -346,9 +368,9 @@ class Network {
   std::vector<std::uint32_t> downlink_flows_;   // full-rescan tally, per link
   std::vector<StarFlowSpec> scratch_specs_;
   std::vector<Rate> scratch_rates_;
-  std::vector<std::pair<FlowId, Flow*>> scratch_flows_;
-  // Query scratch: FlowId-sorted accrual reads (see accrued_on_link).
-  mutable std::vector<std::pair<FlowId, const Flow*>> query_scratch_;
+  std::vector<std::uint32_t> scratch_slots_;    // the solved flows, in order
+  // Query scratch: start-ordered accrual reads (see accrued_on_link).
+  mutable std::vector<std::uint32_t> query_scratch_;
 };
 
 }  // namespace vsplice::net

@@ -292,6 +292,63 @@ TEST(StarAllocatorDifferential, MatchesGenericOver1000Seeds) {
   }
 }
 
+// ------------------------------------------------- no-op cap raises
+
+/// Bitwise equality of two allocations (infinite rates included).
+void expect_bitwise_equal(const std::vector<Rate>& a,
+                          const std::vector<Rate>& b, const char* what,
+                          std::uint64_t seed) {
+  ASSERT_EQ(a.size(), b.size()) << what << " seed " << seed;
+  for (std::size_t f = 0; f < a.size(); ++f) {
+    EXPECT_EQ(a[f].bytes_per_second(), b[f].bytes_per_second())
+        << what << " seed " << seed << " flow " << f;
+  }
+}
+
+TEST(CapRaiseProperty, RaisingNonBindingCapsChangesNoRateBitwise) {
+  // Network::set_flow_cap skips the reallocation when it raises the cap
+  // of a flow whose rate is below its old cap. That is exact only if
+  // such a raise leaves every rate of both allocators bit for bit
+  // unchanged — checked here over star instances with caps, infinite
+  // links and (one link in eight) zero-capacity links.
+  StarAllocator allocator;
+  std::vector<Rate> before;
+  std::vector<Rate> after;
+  std::size_t raised_total = 0;
+  std::size_t zero_rate_raised = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    StarCase c = make_star_case(seed);
+    Rng rng{seed + 7919};
+    for (std::size_t l = 1; l < c.capacity.size(); ++l) {
+      if (rng.bernoulli(0.125)) c.capacity[l] = Rate::zero();
+    }
+    allocator.allocate(c.star, c.capacity, before);
+    const std::vector<Rate> generic_before =
+        max_min_allocation(c.generic, c.capacity);
+    for (const bool to_infinity : {false, true}) {
+      StarCase raised = c;
+      for (std::size_t f = 0; f < c.star.size(); ++f) {
+        if (!(before[f] < c.star[f].cap)) continue;  // cap-bound: kept
+        const Rate cap = to_infinity ? Rate::infinity()
+                                     : c.star[f].cap * rng.uniform(1.0, 4.0);
+        raised.star[f].cap = cap;
+        raised.generic[f].cap = cap;
+        ++raised_total;
+        if (before[f].is_zero()) ++zero_rate_raised;
+      }
+      allocator.allocate(raised.star, raised.capacity, after);
+      expect_bitwise_equal(before, after, "star", seed);
+      expect_bitwise_equal(generic_before,
+                           max_min_allocation(raised.generic,
+                                              raised.capacity),
+                           "generic", seed);
+    }
+  }
+  // The instances exercise the rule, including flows stuck at zero.
+  EXPECT_GT(raised_total, 2000u);
+  EXPECT_GT(zero_rate_raised, 50u);
+}
+
 TEST(StarAllocatorDifferential, EmptyFlowSet) {
   StarAllocator allocator;
   std::vector<Rate> rates{Rate::zero()};  // stale contents must be cleared

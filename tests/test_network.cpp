@@ -323,12 +323,16 @@ TEST(Network, CompletionTimeExactUnderRescheduleChurn) {
       {[&] { done_at = f.sim.now().as_seconds(); }, nullptr});
   auto churn = std::make_shared<std::function<void()>>();
   int flips = 0;
-  *churn = [&, churn] {
+  // The lambda holds its owner weakly: capturing the shared_ptr itself
+  // would be a reference cycle, which LeakSanitizer reports.
+  *churn = [&, weak = std::weak_ptr<std::function<void()>>{churn}] {
     if (done_at >= 0.0) return;
     ++flips;
     f.net.set_flow_cap(id, Rate::kilobytes_per_second(
                                flips % 2 == 1 ? cap_b_kBps : cap_a_kBps));
-    f.sim.after(Duration::millis(10), *churn);
+    if (const auto self = weak.lock()) {
+      f.sim.after(Duration::millis(10), *self);
+    }
   };
   f.sim.after(Duration::millis(10), *churn);
   f.sim.run();
@@ -367,6 +371,79 @@ TEST(Network, UnchangedRateKeepsCompletionEvent) {
   // A disjoint pair: reallocation runs, but the a->b rate is untouched.
   f.net.start_flow(c, d, 1'000'000, Rate::infinity(), {[] {}, nullptr});
   EXPECT_EQ(f.net.stats().completion_reschedules, before + 1);
+}
+
+TEST(Network, LinkBoundCapRaiseSkipsReallocation) {
+  // A raise on a flow running below its old cap cannot move any rate
+  // (DESIGN.md §16), so both reallocation modes store the cap and skip
+  // the reallocation; a raise on a cap-bound flow still reallocates.
+  for (const bool full : {false, true}) {
+    Fixture f;
+    f.net.set_full_reallocation(full);
+    const NodeId a = f.net.add_node(make_node(100));
+    const NodeId b = f.net.add_node(make_node(100));
+    const NodeId c = f.net.add_node(make_node(100));
+    const NodeId d = f.net.add_node(make_node(100));
+    // a's uplink holds both flows at 50 kB/s: `bound` runs below its cap.
+    const FlowId bound = f.net.start_flow(
+        a, b, 5'000'000, Rate::kilobytes_per_second(80), {[] {}, nullptr});
+    const FlowId other = f.net.start_flow(a, c, 5'000'000, Rate::infinity(),
+                                          {[] {}, nullptr});
+    // `capped` runs at its own cap, alone on c's uplink.
+    const FlowId capped = f.net.start_flow(
+        c, d, 5'000'000, Rate::kilobytes_per_second(30), {[] {}, nullptr});
+    f.sim.run_until(TimePoint::origin() + Duration::seconds(1));
+    ASSERT_NEAR(f.net.flow_rate(bound).kilobytes_per_second(), 50.0, 1e-9);
+    ASSERT_NEAR(f.net.flow_rate(capped).kilobytes_per_second(), 30.0, 1e-9);
+
+    const NetworkStats before = f.net.stats();
+    const Rate bound_rate = f.net.flow_rate(bound);
+    const Rate other_rate = f.net.flow_rate(other);
+    const Rate capped_rate = f.net.flow_rate(capped);
+    f.net.set_flow_cap(bound, Rate::kilobytes_per_second(90));
+    f.net.set_flow_cap(bound, Rate::infinity());
+    EXPECT_EQ(f.net.stats().reallocations, before.reallocations) << full;
+    EXPECT_EQ(f.net.stats().completion_reschedules,
+              before.completion_reschedules)
+        << full;
+    EXPECT_EQ(f.net.flow_rate(bound), bound_rate) << full;
+    EXPECT_EQ(f.net.flow_rate(other), other_rate) << full;
+    EXPECT_EQ(f.net.flow_rate(capped), capped_rate) << full;
+
+    // The stored cap takes effect once the link frees up.
+    f.net.abort_flow(other);
+    EXPECT_NEAR(f.net.flow_rate(bound).kilobytes_per_second(), 100.0, 1e-9)
+        << full;
+
+    const std::uint64_t reallocations = f.net.stats().reallocations;
+    f.net.set_flow_cap(capped, Rate::kilobytes_per_second(60));
+    EXPECT_EQ(f.net.stats().reallocations, reallocations + 1) << full;
+    EXPECT_NEAR(f.net.flow_rate(capped).kilobytes_per_second(), 60.0, 1e-9)
+        << full;
+  }
+}
+
+TEST(Network, StaleFlowIdMissesAfterSlotReuse) {
+  // Flow ids are generation-tagged slots: once a flow is gone, its id
+  // stays dead even after a new flow takes over the same slot.
+  Fixture f;
+  const NodeId a = f.net.add_node(make_node(100));
+  const NodeId b = f.net.add_node(make_node(100));
+  const FlowId first =
+      f.net.start_flow(a, b, 1'000'000, Rate::infinity(), {[] {}, nullptr});
+  EXPECT_TRUE(f.net.abort_flow(first));
+  const FlowId second =
+      f.net.start_flow(a, b, 1'000'000, Rate::infinity(), {[] {}, nullptr});
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(f.net.flow_active(first));
+  EXPECT_FALSE(f.net.abort_flow(first));
+  EXPECT_TRUE(f.net.flow_rate(first).is_zero());
+  EXPECT_EQ(f.net.flow_remaining(first), 0);
+  f.net.set_flow_cap(first, Rate::kilobytes_per_second(1));  // no-op
+  EXPECT_TRUE(f.net.flow_active(second));
+  EXPECT_NEAR(f.net.flow_rate(second).kilobytes_per_second(), 100.0, 1e-9);
+  EXPECT_FALSE(f.net.flow_active(FlowId{}));
+  EXPECT_EQ(f.net.active_flow_count(), 1u);
 }
 
 TEST(BandwidthSchedule, StepsApplyInOrder) {

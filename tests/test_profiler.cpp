@@ -363,8 +363,16 @@ TEST(ResourceAccounting, ScenarioReportsMemoryAndEventHealth) {
   ASSERT_FALSE(result.memory.empty());
   // Every instrumented subsystem reports something.
   for (const char* subsystem :
-       {"sim", "net", "p2p.pool", "p2p.sched", "p2p.swarm", "content"}) {
+       {"sim", "net", "p2p.sched", "p2p.swarm", "content"}) {
     EXPECT_GT(result.memory.bytes(subsystem), 0u) << subsystem;
+  }
+  // The message pool is exact per mode: the wire round-trip oracle
+  // (VSPLICE_WIRE_ROUNDTRIP=1) delivers decoded copies and never
+  // acquires a pool node; the fast path always does.
+  if (result.messages_verified == 0) {
+    EXPECT_GT(result.memory.bytes("p2p.pool"), 0u);
+  } else {
+    EXPECT_EQ(result.memory.bytes("p2p.pool"), 0u);
   }
   EXPECT_EQ(result.memory_total_bytes, result.memory.total());
   EXPECT_GT(result.memory_bytes_per_peer, 0.0);
