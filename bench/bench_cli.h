@@ -5,10 +5,10 @@
 //                             one per hardware thread; default 1 =
 //                             serial). Results and output files are
 //                             byte-identical at any job count.
-//   --trace BASE              per-cell JSONL event traces
+//   --trace BASE              per-cell JSONL span traces (each run's
+//                             lifecycle record, one span per line)
 //   --trace-chrome OUT.json   chrome://tracing / Perfetto span timeline
-//                             of the representative run (implies span
-//                             tracing on that run)
+//                             of the representative run
 //   --report OUT.html         self-contained HTML run report
 //   --snapshot OUT.json       deterministic JSON snapshot
 //   --sample-interval SECONDS swarm sampling cadence (default 1 s)

@@ -15,6 +15,8 @@
 // one representative scenario (GOP splicing at 256 kB/s — the cell the
 // paper's discussion centers on) and emit its swarm-health report.
 // Every run writes BENCH_fig2_stalls.json with the tables and checks.
+// Exits 1 when a paper check differs, unless the check is marked a known
+// deviation (documented in EXPERIMENTS.md).
 #include <cstdio>
 
 #include "bench_cli.h"
@@ -96,5 +98,5 @@ int main(int argc, char** argv) {
   representative.bandwidth = Rate::kilobytes_per_second(256);
   bench::write_representative_report(representative, opts,
                                      "Figure 2 — GOP splicing @ 256 kB/s");
-  return 0;
+  return results.all_checks_passed() ? 0 : 1;
 }

@@ -8,6 +8,9 @@
 //   ./bench_fig3_stall_duration [--trace BASE] [--report OUT.html]
 //                               [--snapshot OUT.json]
 //                               [--sample-interval S] [--log-level LEVEL]
+//
+// Exits 1 when a paper check differs, unless the check is marked a known
+// deviation (documented in EXPERIMENTS.md).
 #include <cstdio>
 
 #include "bench_cli.h"
@@ -56,12 +59,15 @@ int main(int argc, char** argv) {
   auto seconds = [&](std::size_t b, std::size_t s) {
     return sweep.at(b, s).stall_seconds;
   };
+  // Known deviation (EXPERIMENTS.md): at 512 kB/s GOP splicing totals
+  // 178 s of stalls against 247 s for 4 sec segments.
   results.check("gop_longest_mid",
                 seconds(1, 0) > seconds(1, 2) &&
                     seconds(1, 0) > seconds(1, 3) &&
                     seconds(2, 0) > seconds(2, 2),
                 "GOP-based splicing results in the longest stalls "
-                "(mid bandwidths)");
+                "(mid bandwidths)",
+                /*known_deviation=*/true);
   results.check("four_shorter_than_eight",
                 seconds(1, 2) < seconds(1, 3) * 1.15,
                 "smaller duration segments give shorter (or equal) "
@@ -79,5 +85,5 @@ int main(int argc, char** argv) {
   representative.bandwidth = Rate::kilobytes_per_second(256);
   bench::write_representative_report(representative, opts,
                                      "Figure 3 — GOP splicing @ 256 kB/s");
-  return 0;
+  return results.all_checks_passed() ? 0 : 1;
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,10 +48,16 @@ class BenchResults {
   }
 
   /// Prints the usual "  [ok] description" line AND records the verdict
-  /// under `key`. Returns `ok` so callers can chain.
-  bool check(const std::string& key, bool ok, const std::string& text) {
-    std::printf("  [%s] %s\n", ok ? "ok" : "DIFFERS", text.c_str());
+  /// under `key`. A check marked `known_deviation` is a documented
+  /// departure from the paper (EXPERIMENTS.md): its verdict is recorded
+  /// as measured, but a failure does not fail the bench. Returns `ok` so
+  /// callers can chain.
+  bool check(const std::string& key, bool ok, const std::string& text,
+             bool known_deviation = false) {
+    std::printf("  [%s] %s%s\n", ok ? "ok" : "DIFFERS", text.c_str(),
+                !ok && known_deviation ? " (known deviation)" : "");
     checks_[key] = ok;
+    if (known_deviation) known_deviations_.insert(key);
     return ok;
   }
 
@@ -118,9 +125,11 @@ class BenchResults {
     return json;
   }
 
+  /// True when every check passed or failed only as a known deviation;
+  /// the benches exit 1 otherwise.
   [[nodiscard]] bool all_checks_passed() const {
     for (const auto& [key, ok] : checks_) {
-      if (!ok) return false;
+      if (!ok && !known_deviations_.contains(key)) return false;
     }
     return true;
   }
@@ -141,6 +150,7 @@ class BenchResults {
 
   std::string name_;
   std::map<std::string, bool> checks_;
+  std::set<std::string> known_deviations_;
   std::map<std::string, SweepTable> tables_;
   std::map<std::string, double> values_;
 };

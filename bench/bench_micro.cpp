@@ -281,7 +281,7 @@ void run_span_overhead_bench(bench::BenchResults& results,
 
   // The enabled cost, for the record (allowed to cost real time; the
   // differential test guarantees it cannot change any figure).
-  obs::SpanRecorder recorder{iters / 10 + 1};
+  obs::SpanRecorder recorder;
   double enabled_ns = 0;
   {
     obs::ScopedSpanRecorder installed{&recorder};

@@ -10,13 +10,14 @@
 //   --jobs N              additionally run the paper's three-repetition
 //                         average on N worker threads ("auto" = one per
 //                         hardware thread; default 1 = single run only)
-//   --trace PATH          write a JSONL event trace of the swarm run
-//                         (also honoured via the VSPLICE_TRACE env var)
+//   --trace PATH          write the run's lifecycle record as JSONL, one
+//                         span per line, at run end (also honoured via
+//                         the VSPLICE_TRACE env var)
 //   --trace-chrome PATH   write a chrome://tracing / Perfetto trace of
-//                         the causal span chains (implies span tracing;
-//                         also honoured via VSPLICE_SPANS=1)
+//                         the lifecycle record
 //   --metrics-csv PATH    dump the metrics registry as CSV
-//   --timeline            print the per-viewer stall-attribution timeline
+//   --timeline            print the per-viewer sessions with every stall
+//                         explained
 //   --report OUT.html     self-contained HTML swarm-health report
 //   --snapshot OUT.json   deterministic JSON time-series snapshot
 //   --sample-interval S   swarm sampling cadence in seconds (default 1)
@@ -27,9 +28,11 @@
 //   --profile             install the hot-path profiler and print the
 //                         phase tree after the run (also honoured via
 //                         VSPLICE_PROFILE=1); figures are unaffected
-//   --spans               record causal lifecycle spans and print the
-//                         per-phase segment waterfall; figures are
-//                         unaffected (spans only read simulated time)
+//   --spans               record the lifecycle record and print the
+//                         per-phase segment waterfall (also honoured via
+//                         VSPLICE_SPANS=1; every view above implies it);
+//                         figures are unaffected (spans only read
+//                         simulated time)
 //   --log-level LEVEL     debug|info|warn|error|off; wins over
 //                         VSPLICE_LOG_LEVEL
 
@@ -256,10 +259,8 @@ int main(int argc, char** argv) {
 
   if (timeline) std::printf("\n%s", result.timeline.c_str());
   if (!result.waterfall.empty()) {
-    std::printf("\nsegment waterfall (%llu spans recorded, %llu "
-                "dropped):\n%s",
+    std::printf("\nsegment waterfall (%llu spans recorded):\n%s",
                 static_cast<unsigned long long>(result.spans_recorded),
-                static_cast<unsigned long long>(result.spans_dropped),
                 obs::waterfall_to_text(result.waterfall).c_str());
   }
   if (!result.profile.empty()) {

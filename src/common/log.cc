@@ -8,11 +8,8 @@ namespace vsplice {
 
 namespace {
 // The level is shared across threads (relaxed atomic: a racing
-// set_log_level only decides which messages the other threads drop), but
-// the sink is per-thread — the obs layer installs a TraceBus-mirroring
-// sink per simulation run, and parallel sweep workers each run their own.
+// set_log_level only decides which messages the other threads drop).
 std::atomic<LogLevel> g_level{LogLevel::Warn};
-thread_local LogSink g_sink;  // empty = log_to_stderr
 
 // VSPLICE_LOG_LEVEL is applied once, lazily, so it overrides whatever a
 // binary compiled in before its first log call; explicit set_log_level
@@ -47,12 +44,6 @@ LogLevel log_level() {
   return g_level.load(std::memory_order_relaxed);
 }
 
-LogSink set_log_sink(LogSink sink) {
-  LogSink previous = std::move(g_sink);
-  g_sink = std::move(sink);
-  return previous;
-}
-
 const char* to_string(LogLevel level) {
   switch (level) {
     case LogLevel::Debug:
@@ -80,20 +71,11 @@ bool parse_log_level(const std::string& name, LogLevel& out) {
   return false;
 }
 
-void log_to_stderr(LogLevel level, const std::string& component,
-                   const std::string& message) {
-  std::fprintf(stderr, "[%s] %s: %s\n", to_string(level), component.c_str(),
-               message.c_str());
-}
-
 void log_message(LogLevel level, const std::string& component,
                  const std::string& message) {
   if (level < log_level()) return;
-  if (g_sink) {
-    g_sink(level, component, message);
-    return;
-  }
-  log_to_stderr(level, component, message);
+  std::fprintf(stderr, "[%s] %s: %s\n", to_string(level), component.c_str(),
+               message.c_str());
 }
 
 }  // namespace vsplice

@@ -1,20 +1,14 @@
-// Minimal leveled logger with a pluggable sink.
+// Minimal leveled logger writing to stderr.
 //
 // Simulations are run thousands of times inside benchmark sweeps, so the
 // default level is Warn; examples raise it to Info/Debug to narrate what
 // the swarm is doing. The VSPLICE_LOG_LEVEL environment variable
 // (debug|info|warn|error|off) overrides the compiled-in default at first
 // use, so benches and examples can raise verbosity without recompiling.
-// Messages route through an installable sink (default: stderr) — the
-// observability layer installs a TraceBus-aware sink that mirrors log
-// lines into the event trace. Threading: the level filter is a relaxed
-// atomic (shared across all threads); the installed sink is thread_local,
-// so each parallel sweep worker routes its own run's messages without
-// synchronization — install the sink on the thread that runs the
-// simulation.
+// Threading: the level filter is a relaxed atomic shared across all
+// threads; each message is one stderr write.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -28,22 +22,8 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
 
-/// Receives every message that passes the level filter.
-using LogSink =
-    std::function<void(LogLevel, const std::string& component,
-                       const std::string& message)>;
-
-/// Installs `sink` in place of the default stderr writer and returns the
-/// previous sink (empty = default). Pass an empty function to restore
-/// the default. Sinks that still want terminal output should call
-/// log_to_stderr themselves.
-LogSink set_log_sink(LogSink sink);
-
-/// The default sink: one line to stderr, "[level] component: message".
-void log_to_stderr(LogLevel level, const std::string& component,
-                   const std::string& message);
-
-/// Filters by level, then hands the message to the installed sink.
+/// Filters by level, then writes one line to stderr:
+/// "[level] component: message".
 void log_message(LogLevel level, const std::string& component,
                  const std::string& message);
 

@@ -113,30 +113,26 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // Observability: installed for the scope of this run when any output
   // was requested. Nests under any context the caller pre-installed
   // (tests drive their own Observability; then none is created here
-  // and the caller's bus sees every event).
+  // and the caller's record sees every span).
   const std::string trace_path = resolve_trace_path(config.trace_path);
   const bool profile = config.profile || profile_env_enabled();
-  // A chrome trace is rendered from spans, so asking for one implies
-  // recording them.
-  const bool spans = config.spans || spans_env_enabled() ||
-                     !config.trace_chrome_path.empty();
-  // The report/snapshot outputs need the swarm sampler, and the sampler's
-  // anomaly scan needs the in-memory event stream for stall attribution.
+  // The report/snapshot outputs need the swarm sampler.
   const bool wants_sampling = config.sample_interval.count_micros() > 0 ||
                               !config.report_html_path.empty() ||
                               !config.snapshot_json_path.empty();
+  // One switch for the lifecycle record: asked for directly, or needed by
+  // a view of it (trace, timeline, report/snapshot stall explanations,
+  // Chrome trace). The profiler alone does not install it.
+  const bool spans = config.spans || spans_env_enabled() ||
+                     !trace_path.empty() || config.timeline_summary ||
+                     wants_sampling || !config.trace_chrome_path.empty();
   std::optional<obs::Observability> observability;
-  if (!trace_path.empty() || config.timeline_summary ||
-      !config.metrics_csv_path.empty() || wants_sampling || profile ||
-      spans) {
+  if (spans || !config.metrics_csv_path.empty() || profile) {
     obs::ObsOptions obs_options;
     obs_options.trace_path = trace_path;
-    obs_options.collect_events = config.timeline_summary || wants_sampling;
     obs_options.metrics_csv_path = config.metrics_csv_path;
-    obs_options.clock = [&sim] { return sim.now(); };
     obs_options.profile = profile;
     obs_options.spans = spans;
-    obs_options.span_capacity = config.span_capacity;
     observability.emplace(std::move(obs_options));
   }
 
@@ -200,7 +196,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     leecher_config.policy = policy;
     leecher_config.bandwidth_hint = config.bandwidth;
     leecher_config.brute_force_scheduling = config.brute_force_scheduling;
-    leecher_config.rarest_window = config.rarest_window;
     leecher_config.announce_max_peers = config.announce_max_peers;
     leecher_config.control_epoch = config.control_epoch;
     p2p::Leecher& leecher =
@@ -319,9 +314,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // Virtual read: folds in each still-active flow's accrued-but-
   // unsettled progress (lazy settlement, DESIGN.md §16).
   result.network_bytes_delivered = network.bytes_delivered();
-  if (observability && config.timeline_summary) {
-    result.timeline = observability->timeline();
-  }
 
   // --- Resource accounting (always; capacity-based, deterministic).
   result.events_fired = sim.fired_count();
@@ -347,13 +339,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   if (observability && observability->span_tracing()) {
     // Close anything still open (in-flight downloads at the time limit)
-    // so the exporters see finite windows, then account for the buffer.
-    obs::SpanRecorder* recorder = observability->span_recorder();
-    recorder->finish(sim.now());
+    // so the views see finite windows, write the trace, then account for
+    // the record.
+    observability->finish(sim.now());
+    const obs::SpanRecorder* recorder = observability->span_recorder();
     result.memory.add("obs.spans", recorder->memory_bytes());
     result.spans_recorded = recorder->spans().size();
-    result.spans_dropped = recorder->dropped();
     result.waterfall = obs::segment_waterfall(recorder->spans());
+    if (config.timeline_summary) result.timeline = observability->timeline();
   }
   result.memory_total_bytes = result.memory.total();
   result.memory_peak_bytes = result.memory_total_bytes;
@@ -390,10 +383,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                    " pool @ " + buf;
     }
     info.params = report_params(config, sample_interval);
-    obs::ReportData report = obs::build_report(
-        std::move(info), *series_store, observability->events(),
-        &observability->registry(),
-        observability->span_tracing() ? &observability->spans() : nullptr);
+    obs::ReportData report =
+        obs::build_report(std::move(info), *series_store,
+                          observability->spans(), &observability->registry());
     report.profile = result.profile;
     report.memory = result.memory;
     report.memory_peak_bytes = result.memory_peak_bytes;

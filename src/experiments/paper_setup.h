@@ -68,9 +68,6 @@ struct ScenarioConfig {
   /// differential tests pin that — only slower. Also enabled by
   /// VSPLICE_FULL_REALLOC=1.
   bool full_reallocation = false;
-  /// LeecherConfig::rarest_window passthrough (0 = the paper's strictly
-  /// sequential fetch order, used by every figure).
-  std::size_t rarest_window = 0;
   /// LeecherConfig::announce_max_peers passthrough: neighbours learned
   /// from the tracker at join. The default matches every figure; the
   /// wire benchmark raises it to densify the control mesh.
@@ -97,14 +94,15 @@ struct ScenarioConfig {
   /// the next change to that benchmark.
   int loop_threads = 1;
 
-  /// JSONL event-trace destination for this run. Empty = fall back to
+  /// Span-trace JSONL destination for this run: the lifecycle record,
+  /// one line per span, written when the run ends. Empty = fall back to
   /// the VSPLICE_TRACE environment variable (empty there too = no
   /// trace). Identical seeds produce byte-identical files.
   std::string trace_path;
   /// Metrics-registry CSV destination; empty = none.
   std::string metrics_csv_path;
-  /// Keep the event stream in memory and fill ScenarioResult::timeline
-  /// with the per-viewer stall-attribution summary.
+  /// Fill ScenarioResult::timeline with the per-viewer session and
+  /// stall-explanation summary of the lifecycle record.
   bool timeline_summary = false;
 
   /// Swarm-state sampling cadence for the report/snapshot outputs.
@@ -128,19 +126,16 @@ struct ScenarioConfig {
   /// byte-identical files" guarantee holds only with profiling off.
   bool profile = false;
 
-  /// Record causal lifecycle spans for this run (also enabled by
-  /// VSPLICE_SPANS=1, and implied by trace_chrome_path). Spans only read
-  /// simulated time — figure outputs are byte-identical with them on or
-  /// off; the per-phase waterfall lands in ScenarioResult::waterfall,
-  /// stall causes gain a "critical path" clause, and the report grows a
-  /// "Segment waterfall" section.
+  /// Install the lifecycle record (obs/span.h) for this run (also
+  /// enabled by VSPLICE_SPANS=1, and implied by every view of it:
+  /// trace_path, timeline_summary, the report/snapshot outputs and
+  /// trace_chrome_path). Spans only read simulated time — figure outputs
+  /// are byte-identical with them on or off; the per-phase waterfall
+  /// lands in ScenarioResult::waterfall.
   bool spans = false;
-  /// Cap on recorded spans; excess spans are dropped (newest-first) and
-  /// counted in ScenarioResult::spans_dropped.
-  std::size_t span_capacity = obs::kDefaultSpanCapacity;
   /// Chrome trace-event (chrome://tracing / Perfetto) destination;
-  /// empty = none. Implies span recording; includes the profiler flame
-  /// when profiling is also on.
+  /// empty = none. Includes the profiler flame when profiling is also
+  /// on.
   std::string trace_chrome_path;
 };
 
@@ -186,7 +181,8 @@ struct ScenarioResult {
   Bytes peers_uploaded = 0;
   double network_bytes_delivered = 0;
 
-  /// Stall-attribution timeline (only when timeline_summary was set).
+  /// Per-viewer sessions with every stall explained (only when
+  /// timeline_summary was set).
   std::string timeline;
   /// Anomalies flagged by the sampler scan (only when sampling ran).
   std::size_t anomaly_count = 0;
@@ -245,12 +241,11 @@ struct ScenarioResult {
   obs::ProfileSnapshot profile;
 
   /// Per-phase latency waterfall over every delivered segment (empty
-  /// unless ScenarioConfig::spans / VSPLICE_SPANS=1 / trace_chrome_path).
+  /// unless the lifecycle record was on; see ScenarioConfig::spans).
   /// Built from simulated time, so it IS deterministic.
   std::vector<obs::PhaseStats> waterfall;
-  /// Span-recorder accounting for the run (0 when spans were off).
+  /// Spans in the lifecycle record (0 when it was off).
   std::uint64_t spans_recorded = 0;
-  std::uint64_t spans_dropped = 0;
 };
 
 /// Runs one full swarm simulation.

@@ -3,7 +3,6 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace vsplice::net {
 
@@ -41,10 +40,6 @@ void Connection::connect(std::function<void()> on_established) {
         state_ = State::Established;
         last_activity_ = net_.simulator().now();
         obs::count("net.connections_opened");
-        obs::emit(net_.simulator().now(),
-                  obs::ConnectionOpened{
-                      id_, static_cast<std::int64_t>(client_.value),
-                      static_cast<std::int64_t>(server_.value)});
         cb();
       });
 }
@@ -228,17 +223,7 @@ void Connection::close() {
     obs::abort_span(span_request_, net_.simulator().now());
     span_request_ = 0;
   }
-  if (span_transfer_ != 0) {
-    obs::abort_span(span_transfer_, net_.simulator().now());
-    span_transfer_ = 0;
-  }
-  if (was_established) {
-    obs::count("net.connections_closed");
-    obs::emit(net_.simulator().now(),
-              obs::ConnectionClosed{
-                  id_, static_cast<std::int64_t>(client_.value),
-                  static_cast<std::int64_t>(server_.value)});
-  }
+  if (was_established) obs::count("net.connections_closed");
   if (fetch_.has_value()) {
     // Detach the flow first so its on_abort sees no active fetch, then
     // report the abort to the caller ourselves.
@@ -256,6 +241,12 @@ void Connection::close() {
     if (flow.valid() && net_.flow_active(flow)) {
       delivered = size - net_.flow_remaining(flow);
       net_.abort_flow(flow);
+    }
+    if (span_transfer_ != 0) {
+      // Same bytes the abort reports to the caller below.
+      obs::set_span_attr(span_transfer_, delivered);
+      obs::abort_span(span_transfer_, sim.now());
+      span_transfer_ = 0;
     }
     FetchResult result;
     result.bytes_delivered = delivered;

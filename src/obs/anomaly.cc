@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <variant>
 
 #include "obs/sampler.h"
 
@@ -47,45 +46,34 @@ void scan_low_runs(const Series& series, double arm, double low,
 }
 
 void scan_buffer_drains(const TimeSeriesStore& store,
-                        const std::vector<Event>& events,
+                        const std::vector<Span>& spans,
                         std::vector<Anomaly>& out) {
-  for (const Event& event : events) {
-    const StallBegin* stall = std::get_if<StallBegin>(&event.payload);
-    if (stall == nullptr) continue;
+  for (const Span& stall : spans) {
+    if (stall.kind != SpanKind::kStall) continue;
 
     Anomaly anomaly;
     anomaly.kind = "buffer_drain";
-    anomaly.node = stall->node;
-    anomaly.segment = static_cast<std::int64_t>(stall->segment);
-    anomaly.onset = event.time;
-    anomaly.end = event.time;
-    for (const Event& later : events) {
-      if (later.seq <= event.seq) continue;
-      const StallEnd* end = std::get_if<StallEnd>(&later.payload);
-      if (end != nullptr && end->node == stall->node) {
-        anomaly.end = later.time;
-        break;
-      }
-    }
+    anomaly.node = stall.node;
+    anomaly.segment = stall.segment;
+    anomaly.onset = stall.t_start;
+    // A stall that never resumed ends where it began.
+    anomaly.end = stall.open() ? stall.t_start : stall.t_end;
 
     // Onset: the last local maximum of the viewer's buffer before the
     // stall — where the drain that caused it began.
     double peak = 0.0;
     const Series* buffer =
-        store.find(SwarmSampler::peer_series(stall->node, "buffer_s"));
+        store.find(SwarmSampler::peer_series(stall.node, "buffer_s"));
     if (buffer != nullptr && !buffer->empty()) {
       const std::vector<Sample>& samples = buffer->samples();
-      std::size_t at = samples.size();
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (samples[i].time <= event.time) {
-          at = i;
-        } else {
-          break;
-        }
-      }
-      if (at < samples.size()) {
+      // The last sample at or before the stall (samples are time-ordered).
+      const auto after = std::upper_bound(
+          samples.begin(), samples.end(), stall.t_start,
+          [](TimePoint t, const Sample& s) { return t < s.time; });
+      if (after != samples.begin()) {
+        auto at = static_cast<std::size_t>(after - samples.begin()) - 1;
         while (at > 0 && samples[at - 1].mean >= samples[at].mean) --at;
-        if (samples[at].time <= event.time) anomaly.onset = samples[at].time;
+        anomaly.onset = samples[at].time;
         peak = samples[at].mean;
       }
     }
@@ -93,9 +81,9 @@ void scan_buffer_drains(const TimeSeriesStore& store,
     char buf[160];
     std::snprintf(buf, sizeof buf,
                   "buffer drained from %.1f s to zero over %.1f s before "
-                  "stalling on segment %zu",
-                  peak, (event.time - anomaly.onset).as_seconds(),
-                  stall->segment);
+                  "stalling on segment %lld",
+                  peak, (stall.t_start - anomaly.onset).as_seconds(),
+                  static_cast<long long>(stall.segment));
     anomaly.detail = buf;
     out.push_back(std::move(anomaly));
   }
@@ -248,9 +236,9 @@ void scan_event_queue_garbage(const TimeSeriesStore& store,
 }  // namespace
 
 std::vector<Anomaly> scan_anomalies(const TimeSeriesStore& store,
-                                    const std::vector<Event>& events) {
+                                    const std::vector<Span>& spans) {
   std::vector<Anomaly> out;
-  scan_buffer_drains(store, events, out);
+  scan_buffer_drains(store, spans, out);
   scan_pool_collapses(store, out);
   scan_low_availability(store, out);
   scan_seeder_saturation(store, out);
@@ -263,29 +251,6 @@ std::vector<Anomaly> scan_anomalies(const TimeSeriesStore& store,
     if (a.node != b.node) return a.node < b.node;
     return a.segment < b.segment;
   });
-  return out;
-}
-
-std::vector<StallAttribution> attribute_stalls(
-    const std::vector<StallExplanation>& stalls,
-    const std::vector<Anomaly>& anomalies) {
-  std::vector<StallAttribution> out;
-  out.reserve(stalls.size());
-  for (const StallExplanation& stall : stalls) {
-    StallAttribution attribution;
-    attribution.stall = stall;
-    for (std::size_t i = 0; i < anomalies.size(); ++i) {
-      const Anomaly& a = anomalies[i];
-      if (a.node >= 0 && a.node != stall.node) continue;
-      const bool begins_before_stall_ends =
-          stall.end.is_infinite() || !(a.onset > stall.end);
-      const bool ends_after_stall_begins = !(a.end < stall.start);
-      if (begins_before_stall_ends && ends_after_stall_begins) {
-        attribution.anomalies.push_back(i);
-      }
-    }
-    out.push_back(std::move(attribution));
-  }
   return out;
 }
 

@@ -1,9 +1,9 @@
-// Anomaly scanning over the sampled time-series + event trace.
+// Anomaly scanning over the sampled time-series + the lifecycle record.
 //
 // Four named pathologies, each with an onset time so a report reader can
 // line the flag up against the charts:
 //   buffer_drain      — a viewer's playback buffer drained to zero ahead
-//                       of a recorded stall (one per stall, always
+//                       of a recorded stall span (one per stall, always
 //                       emitted, so every stall is attributable).
 //   pool_collapse     — the adaptive pool fell to k=1 after having run
 //                       wider (Eq. 1 starving the download pipeline).
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/exporters.h"
+#include "obs/span.h"
 #include "obs/timeseries.h"
 
 namespace vsplice::obs {
@@ -39,24 +39,11 @@ struct Anomaly {
   std::string detail;
 };
 
-/// Scans the sampled series (and the stall events, for drain onsets) and
-/// returns every flagged condition, ordered by onset, then kind, then
-/// node/segment — a deterministic order for the snapshot writer.
+/// Scans the sampled series (and the record's stall spans, for drain
+/// onsets) and returns every flagged condition, ordered by onset, then
+/// kind, then node/segment — a deterministic order for the snapshot
+/// writer.
 [[nodiscard]] std::vector<Anomaly> scan_anomalies(
-    const TimeSeriesStore& store, const std::vector<Event>& events);
-
-/// One explained stall joined against the anomalies that overlap it.
-struct StallAttribution {
-  StallExplanation stall;
-  /// Indices into the anomaly vector given to attribute_stalls().
-  std::vector<std::size_t> anomalies;
-};
-
-/// Maps every stall to the anomalies overlapping it in time on the same
-/// viewer (or swarm-wide ones). Every stall receives at least one
-/// anomaly because scan_anomalies emits a buffer_drain per stall.
-[[nodiscard]] std::vector<StallAttribution> attribute_stalls(
-    const std::vector<StallExplanation>& stalls,
-    const std::vector<Anomaly>& anomalies);
+    const TimeSeriesStore& store, const std::vector<Span>& spans);
 
 }  // namespace vsplice::obs

@@ -1,10 +1,12 @@
 #include "obs/exporters.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.h"
 
@@ -12,383 +14,71 @@ namespace vsplice::obs {
 
 // ----------------------------------------------------------------- JSONL
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default: {
-        // Control characters and non-ASCII bytes both go out as \u00xx
-        // (one escape per byte, not per code point): the trace stays
-        // pure ASCII regardless of what a component logs, and the
-        // parser reassembles the original byte string exactly.
-        const auto byte = static_cast<unsigned char>(c);
-        if (byte < 0x20 || byte >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(byte));
-          out += buf;
-        } else {
-          out += c;
-        }
-      }
-    }
-  }
-  out += '"';
-}
-
-// Serializer keeps one fixed field order per kind so identical seeded
-// runs produce byte-identical traces.
-class FieldWriter {
- public:
-  explicit FieldWriter(std::string& out) : out_{out} {}
-
-  void field(const char* key, std::int64_t v) {
-    begin(key);
-    out_ += std::to_string(v);
-  }
-  // std::size_t binds here too (it is unsigned long on this toolchain; a
-  // separate overload would be a redefinition).
-  void field(const char* key, std::uint64_t v) {
-    begin(key);
-    out_ += std::to_string(v);
-  }
-  void field(const char* key, int v) {
-    field(key, static_cast<std::int64_t>(v));
-  }
-  void field(const char* key, double v) {
-    begin(key);
-    // Non-finite values have no JSON literal; null keeps the line valid
-    // (and parse_jsonl_line round-trips it as the text "null").
-    if (!std::isfinite(v)) {
-      out_ += "null";
-      return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    out_ += buf;
-  }
-  void field(const char* key, Duration d) { field(key, d.count_micros()); }
-  void field(const char* key, const std::string& v) {
-    begin(key);
-    append_escaped(out_, v);
-  }
-
- private:
-  void begin(const char* key) {
-    out_ += ",\"";
-    out_ += key;
-    out_ += "\":";
-  }
-  std::string& out_;
-};
-
-struct PayloadSerializer {
-  FieldWriter& w;
-
-  void operator()(const SegmentRequested& p) const {
-    w.field("node", p.node);
-    w.field("holder", p.holder);
-    w.field("segment", p.segment);
-    w.field("bytes", p.bytes);
-  }
-  void operator()(const SegmentReceived& p) const {
-    w.field("node", p.node);
-    w.field("holder", p.holder);
-    w.field("segment", p.segment);
-    w.field("bytes", p.bytes);
-    w.field("elapsed_us", p.elapsed);
-  }
-  void operator()(const SegmentAborted& p) const {
-    w.field("node", p.node);
-    w.field("holder", p.holder);
-    w.field("segment", p.segment);
-    w.field("bytes_wasted", p.bytes_wasted);
-  }
-  void operator()(const StallBegin& p) const {
-    w.field("node", p.node);
-    w.field("playhead_us", p.playhead);
-    w.field("segment", p.segment);
-  }
-  void operator()(const StallEnd& p) const {
-    w.field("node", p.node);
-    w.field("playhead_us", p.playhead);
-    w.field("duration_us", p.duration);
-    w.field("segment", p.segment);
-  }
-  void operator()(const PoolSizeChanged& p) const {
-    w.field("node", p.node);
-    w.field("pool", p.pool);
-    w.field("bandwidth_bps", p.bandwidth_bps);
-    w.field("buffered_us", p.buffered);
-  }
-  void operator()(const BufferLevel& p) const {
-    w.field("node", p.node);
-    w.field("buffered_us", p.buffered);
-  }
-  void operator()(const PeerJoined& p) const { w.field("node", p.node); }
-  void operator()(const PeerLeft& p) const { w.field("node", p.node); }
-  void operator()(const ConnectionOpened& p) const {
-    w.field("conn", p.conn);
-    w.field("client", p.client);
-    w.field("server", p.server);
-  }
-  void operator()(const ConnectionClosed& p) const {
-    w.field("conn", p.conn);
-    w.field("client", p.client);
-    w.field("server", p.server);
-  }
-  void operator()(const PlaybackStarted& p) const {
-    w.field("node", p.node);
-    w.field("startup_us", p.startup);
-  }
-  void operator()(const PlaybackFinished& p) const {
-    w.field("node", p.node);
-    w.field("completion_us", p.completion);
-  }
-  void operator()(const LogMessage& p) const {
-    w.field("level", p.level);
-    w.field("component", p.component);
-    w.field("text", p.text);
-  }
-};
-
-}  // namespace
-
-std::string json_escape(const std::string& text) {
+std::string span_to_jsonl(const Span& span) {
   std::string out;
-  out.reserve(text.size() + 2);
-  append_escaped(out, text);
-  return out;
-}
-
-std::string to_jsonl(const Event& event) {
-  std::string out;
-  out.reserve(96);
-  out += "{\"t_us\":";
-  out += std::to_string(event.time.count_micros());
-  out += ",\"seq\":";
-  out += std::to_string(event.seq);
+  out.reserve(176);
+  out += "{\"id\":" + std::to_string(span.id);
+  out += ",\"parent\":" + std::to_string(span.parent);
   out += ",\"kind\":\"";
-  out += kind_name(event.payload);
-  out += '"';
-  FieldWriter writer{out};
-  std::visit(PayloadSerializer{writer}, event.payload);
+  out += span_kind_name(span.kind);
+  out += "\",\"node\":" + std::to_string(span.node);
+  out += ",\"segment\":" + std::to_string(span.segment);
+  out += ",\"start_us\":" + std::to_string(span.t_start.count_micros());
+  out += ",\"end_us\":" + std::to_string(span.t_end.count_micros());
+  out += ",\"attr\":" + std::to_string(span.attr);
+  out += ",\"aborted\":";
+  out += span.aborted() ? "true" : "false";
+  out += ",\"open\":";
+  out += span.open() ? "true" : "false";
   out += '}';
   return out;
 }
 
-namespace {
-
-// Minimal parser for the flat objects to_jsonl writes: string keys,
-// string-or-number values, no nesting.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : s_{line} {}
-
-  bool parse(std::map<std::string, std::string>& out) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return done();
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      std::string value;
-      if (peek() == '"') {
-        if (!parse_string(value)) return false;
-      } else {
-        if (!parse_number(value)) return false;
-      }
-      out.emplace(std::move(key), std::move(value));
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        continue;
-      }
-      if (consume('}')) return done();
-      return false;
-    }
-  }
-
- private:
-  [[nodiscard]] char peek() const {
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;
-  }
-  bool done() {
-    skip_ws();
-    return pos_ == s_.size() || s_[pos_] == '\r';
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          unsigned code = 0;
-          for (std::size_t i = 0; i < 4; ++i) {
-            const char h = s_[pos_ + i];
-            unsigned digit = 0;
-            if (h >= '0' && h <= '9') {
-              digit = static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              digit = static_cast<unsigned>(h - 'a') + 10;
-            } else if (h >= 'A' && h <= 'F') {
-              digit = static_cast<unsigned>(h - 'A') + 10;
-            } else {
-              return false;  // "%4x" would have accepted "12 3" etc.
-            }
-            code = code * 16 + digit;
-          }
-          pos_ += 4;
-          // Our writer only emits \u00xx (per-byte escapes), which maps
-          // straight back to a byte. Foreign traces may carry real BMP
-          // code points; encode those as UTF-8 rather than truncating.
-          if (code < 0x100) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_number(std::string& out) {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == 'i' ||
-            s_[pos_] == 'n' || s_[pos_] == 'f' || s_[pos_] == 'a')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out = s_.substr(start, pos_ - start);
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<ParsedEvent> parse_jsonl_line(const std::string& line) {
-  std::map<std::string, std::string> fields;
-  LineParser parser{line};
-  if (!parser.parse(fields)) return std::nullopt;
-  const auto t = fields.find("t_us");
-  const auto seq = fields.find("seq");
-  const auto kind = fields.find("kind");
-  if (t == fields.end() || seq == fields.end() || kind == fields.end()) {
+std::optional<Span> parse_span_line(const std::string& line) {
+  JsonValue root;
+  std::string error;
+  if (!parse_json(line, root, error) ||
+      root.type != JsonValue::Type::Object) {
     return std::nullopt;
   }
-  ParsedEvent out;
-  try {
-    out.t_us = std::stoll(t->second);
-    out.seq = std::stoull(seq->second);
-  } catch (const std::exception&) {
+  const auto integer = [&root](const char* key) {
+    const JsonValue* v = root.find(key);
+    return v != nullptr ? v->as_int() : std::nullopt;
+  };
+  const auto flag = [&root](const char* key) -> std::optional<bool> {
+    const JsonValue* v = root.find(key);
+    if (v == nullptr || v->type != JsonValue::Type::Bool) return std::nullopt;
+    return v->boolean;
+  };
+  const auto id = integer("id");
+  const auto parent = integer("parent");
+  const auto node = integer("node");
+  const auto segment = integer("segment");
+  const auto start = integer("start_us");
+  const auto end = integer("end_us");
+  const auto attr = integer("attr");
+  const auto aborted = flag("aborted");
+  const auto open = flag("open");
+  const JsonValue* kind = root.find("kind");
+  Span span;
+  if (!id || *id < 1 || !parent || *parent < 0 || !node || !segment ||
+      !start || !end || !attr || !aborted || !open || kind == nullptr ||
+      kind->type != JsonValue::Type::String ||
+      !span_kind_from_name(kind->string, span.kind)) {
     return std::nullopt;
   }
-  out.kind = kind->second;
-  fields.erase(t->first);
-  fields.erase("seq");
-  fields.erase("kind");
-  out.fields = std::move(fields);
-  return out;
+  span.id = static_cast<std::uint64_t>(*id);
+  span.parent = static_cast<std::uint64_t>(*parent);
+  span.node = *node;
+  span.segment = *segment;
+  span.t_start = TimePoint::from_micros(*start);
+  span.t_end = TimePoint::from_micros(*end);
+  span.attr = *attr;
+  span.flags = (*aborted ? kSpanAborted : 0u) | (*open ? kSpanOpen : 0u);
+  return span;
 }
 
-void JsonlWriter::write(const Event& event) {
-  out_ << to_jsonl(event) << '\n';
-  ++lines_;
-}
-
-TraceBus::SubscriptionId JsonlWriter::attach(TraceBus& bus) {
-  return bus.subscribe([this](const Event& event) { write(event); });
-}
-
-TraceBus::SubscriptionId TraceRecorder::attach(TraceBus& bus) {
-  return bus.subscribe(
-      [this](const Event& event) { events_.push_back(event); });
-}
-
-// ----------------------------------------------------- stall attribution
+// ------------------------------------------------------ stall explanation
 
 namespace {
 
@@ -414,93 +104,152 @@ std::string kilobytes(Bytes b) {
   return buf;
 }
 
+/// (node, segment) as one map key.
+std::uint64_t fetch_key(std::int64_t node, std::int64_t segment) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
+          << 32) |
+         static_cast<std::uint32_t>(segment);
+}
+
+/// What the record says about one viewer besides its fetches.
+struct ViewerFacts {
+  /// Pool-size instants, in record (hence time) order.
+  std::vector<const Span*> pools;
+  TimePoint left = TimePoint::infinity();
+  /// Indices of the anomalies about this viewer, ascending.
+  std::vector<std::size_t> anomalies;
+};
+
+/// Median transfer size over the distinct segments fetched in the
+/// record — the yardstick for calling a blocking segment "oversized" (a
+/// static-scene GOP is several times the typical segment). Distinct
+/// segments, not requests: choke retries of a big segment would
+/// otherwise inflate the yardstick it is measured against.
+Bytes median_segment_bytes(const std::vector<Span>& spans) {
+  std::unordered_map<std::int64_t, Bytes> by_segment;
+  for (const Span& s : spans) {
+    if (s.kind == SpanKind::kSegment) by_segment[s.segment] = s.attr;
+  }
+  if (by_segment.empty()) return 0;
+  std::vector<Bytes> sizes;
+  sizes.reserve(by_segment.size());
+  for (const auto& [segment, bytes] : by_segment) sizes.push_back(bytes);
+  const auto middle =
+      sizes.begin() + static_cast<std::ptrdiff_t>(sizes.size() / 2);
+  std::nth_element(sizes.begin(), middle, sizes.end());
+  return *middle;
+}
+
 }  // namespace
 
 std::vector<StallExplanation> explain_stalls(
-    const std::vector<Event>& events, const std::vector<Span>& spans) {
-  std::vector<StallExplanation> out = explain_stalls(events);
-  if (spans.empty()) return out;
-  for (StallExplanation& ex : out) {
-    ex.critical_phase = dominant_phase(
-        spans, ex.node, static_cast<std::int64_t>(ex.segment));
-    if (!ex.critical_phase.empty()) {
-      ex.cause += "; critical path: " + ex.critical_phase;
+    const std::vector<Span>& spans, const std::vector<Anomaly>& anomalies) {
+  // Index the record once: the stalls and each viewer's pool changes and
+  // departure, then the delivery chains of the stalled (node, segment)
+  // pairs. Every chain span shares its root's node and segment.
+  std::vector<const Span*> stalls;
+  std::unordered_map<std::int64_t, ViewerFacts> viewers;
+  std::unordered_set<std::uint64_t> stalled;
+  for (const Span& s : spans) {
+    if (s.kind == SpanKind::kStall) {
+      stalls.push_back(&s);
+      stalled.insert(fetch_key(s.node, s.segment));
+    } else if (s.kind == SpanKind::kPool) {
+      viewers[s.node].pools.push_back(&s);
+    } else if (s.kind == SpanKind::kLeave) {
+      viewers[s.node].left = std::min(viewers[s.node].left, s.t_start);
     }
   }
-  return out;
-}
-
-std::vector<StallExplanation> explain_stalls(
-    const std::vector<Event>& events) {
-  // Median transfer size across the whole trace — the yardstick for
-  // calling a blocking segment "oversized" (a static-scene GOP is several
-  // times the typical segment).
-  std::vector<Bytes> sizes;
-  for (const Event& e : events) {
-    if (const auto* r = std::get_if<SegmentRequested>(&e.payload)) {
-      sizes.push_back(r->bytes);
+  std::unordered_map<std::uint64_t, std::vector<const Span*>> fetches;
+  for (const Span& s : spans) {
+    if (static_cast<std::size_t>(s.kind) >= kDeliveryPhaseCount) continue;
+    const std::uint64_t key = fetch_key(s.node, s.segment);
+    if (stalled.contains(key)) fetches[key].push_back(&s);
+  }
+  std::vector<std::size_t> swarm_wide;
+  for (std::size_t i = 0; i < anomalies.size(); ++i) {
+    if (anomalies[i].node < 0) {
+      swarm_wide.push_back(i);
+    } else {
+      viewers[anomalies[i].node].anomalies.push_back(i);
     }
   }
-  Bytes median_size = 0;
-  if (!sizes.empty()) {
-    std::nth_element(
-        sizes.begin(),
-        sizes.begin() + static_cast<std::ptrdiff_t>(sizes.size() / 2),
-        sizes.end());
-    median_size = sizes[sizes.size() / 2];
-  }
+  const Bytes median_size = median_segment_bytes(spans);
+  const auto left_at = [&viewers](std::int64_t node) {
+    const auto it = viewers.find(node);
+    return it != viewers.end() ? it->second.left : TimePoint::infinity();
+  };
 
   std::vector<StallExplanation> out;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto* begin = std::get_if<StallBegin>(&events[i].payload);
-    if (begin == nullptr) continue;
-
+  out.reserve(stalls.size());
+  for (const Span* stall : stalls) {
     StallExplanation ex;
-    ex.node = begin->node;
-    ex.start = events[i].time;
-    ex.segment = begin->segment;
-
-    // Pair with this viewer's next StallEnd.
-    bool resolved = false;
-    for (std::size_t j = i + 1; j < events.size(); ++j) {
-      const auto* end = std::get_if<StallEnd>(&events[j].payload);
-      if (end != nullptr && end->node == begin->node) {
-        ex.end = events[j].time;
-        ex.duration = end->duration;
-        resolved = true;
-        break;
-      }
+    ex.node = stall->node;
+    ex.start = stall->t_start;
+    ex.segment = static_cast<std::size_t>(stall->segment);
+    const bool resolved = !stall->open();
+    if (resolved) {
+      ex.end = stall->t_end;
+      ex.duration = stall->t_end - stall->t_start;
     }
-    const TimePoint window_end = resolved ? ex.end : TimePoint::infinity();
+    const TimePoint window_end = ex.end;  // infinite when unresolved
+    const TimePoint viewer_left = left_at(ex.node);
 
-    // Everything the trace knows about the blocking segment.
+    // Everything the record knows about the blocking segment up to the
+    // stall's end.
     TimePoint first_request = TimePoint::infinity();
     std::size_t request_count = 0;
     Bytes segment_bytes = 0;
-    const SegmentAborted* last_abort = nullptr;
-    TimePoint last_abort_time;
-    const SegmentReceived* received = nullptr;
+    std::int64_t holder = -1;  // of the latest request decision
+    const Span* last_abort = nullptr;
+    std::int64_t abort_holder = -1;
+    const Span* received = nullptr;
+    const Span* last_root = nullptr;
+    static const std::vector<const Span*> kNoFetch;
+    const auto fetch = fetches.find(fetch_key(stall->node, stall->segment));
+    const std::vector<const Span*>& chain =
+        fetch != fetches.end() ? fetch->second : kNoFetch;
+    for (const Span* s : chain) {
+      switch (s->kind) {
+        case SpanKind::kSegment:
+          last_root = s;
+          if (!s->open() && !s->aborted() && s->t_end <= window_end) {
+            received = s;
+          }
+          break;
+        case SpanKind::kRequestDecision:
+          holder = s->attr;
+          if (s->t_start <= window_end) {
+            first_request = std::min(first_request, s->t_start);
+            ++request_count;
+            if (s->parent != 0 && s->parent <= spans.size()) {
+              segment_bytes = spans[s->parent - 1].attr;
+            }
+          }
+          break;
+        case SpanKind::kPieceTransfer:
+          // A transfer cut by the viewer's own departure never reached
+          // the viewer as an abort: nothing was re-fetched.
+          if (s->aborted() && s->t_end <= window_end &&
+              s->t_end >= first_request && s->t_end < viewer_left &&
+              (last_abort == nullptr || s->t_end >= last_abort->t_end)) {
+            last_abort = s;
+            abort_holder = holder;
+          }
+          break;
+        default:
+          break;
+      }
+    }
+
     int pool_at_stall = -1;
-    for (const Event& e : events) {
-      if (e.time > window_end) break;
-      if (const auto* r = std::get_if<SegmentRequested>(&e.payload)) {
-        if (r->node == ex.node && r->segment == ex.segment) {
-          first_request = std::min(first_request, e.time);
-          ++request_count;
-          segment_bytes = r->bytes;
-        }
-      } else if (const auto* a = std::get_if<SegmentAborted>(&e.payload)) {
-        if (a->node == ex.node && a->segment == ex.segment &&
-            e.time >= first_request) {
-          last_abort = a;
-          last_abort_time = e.time;
-        }
-      } else if (const auto* r2 = std::get_if<SegmentReceived>(&e.payload)) {
-        if (r2->node == ex.node && r2->segment == ex.segment) received = r2;
-      } else if (const auto* p = std::get_if<PoolSizeChanged>(&e.payload)) {
-        if (p->node == ex.node && e.time <= ex.start) {
-          pool_at_stall = p->pool;
-        }
+    if (const auto it = viewers.find(ex.node); it != viewers.end()) {
+      const std::vector<const Span*>& pools = it->second.pools;
+      const auto after = std::upper_bound(
+          pools.begin(), pools.end(), ex.start,
+          [](TimePoint t, const Span* p) { return t < p->t_start; });
+      if (after != pools.begin()) {
+        pool_at_stall = static_cast<int>((*std::prev(after))->attr);
       }
     }
 
@@ -512,26 +261,18 @@ std::vector<StallExplanation> explain_stalls(
                  " (scheduler starvation)";
     } else if (last_abort != nullptr) {
       // A dead transfer forced a re-fetch; was it churn or a hangup?
-      bool holder_left = false;
-      for (const Event& e : events) {
-        if (e.time > last_abort_time) break;
-        const auto* left = std::get_if<PeerLeft>(&e.payload);
-        if (left != nullptr && left->node == last_abort->holder &&
-            e.time >= first_request) {
-          holder_left = true;
-        }
-      }
-      if (holder_left) {
+      const TimePoint holder_left = left_at(abort_holder);
+      const Bytes wasted = last_abort->attr;
+      if (holder_left >= first_request && holder_left <= last_abort->t_end) {
         ex.category = "holder_left";
-        ex.cause = "holder " + node_name(last_abort->holder) +
+        ex.cause = "holder " + node_name(abort_holder) +
                    " left the swarm mid-transfer of " + seg + " (" +
-                   kilobytes(last_abort->bytes_wasted) +
+                   kilobytes(wasted) +
                    " wasted); re-fetched from another holder";
       } else {
         ex.category = "transfer_aborted";
-        ex.cause = "transfer of " + seg + " from " +
-                   node_name(last_abort->holder) + " aborted (" +
-                   kilobytes(last_abort->bytes_wasted) +
+        ex.cause = "transfer of " + seg + " from " + node_name(abort_holder) +
+                   " aborted (" + kilobytes(wasted) +
                    " wasted); re-fetched from another holder";
       }
     } else if (!resolved) {
@@ -553,18 +294,54 @@ std::vector<StallExplanation> explain_stalls(
     } else {
       ex.category = "bandwidth_shortfall";
       const Duration transfer = received != nullptr
-                                    ? received->elapsed
+                                    ? received->elapsed()
                                     : ex.end - first_request;
       ex.cause = "bandwidth shortfall: " + seg + " (" +
                  kilobytes(segment_bytes) + ") took " + seconds(transfer) +
                  " s to arrive";
+    }
+
+    // Critical path: the child phase with the largest elapsed time on the
+    // last fetch of the blocking segment. Playout hangs off the same root
+    // but happens after delivery, so it is never why delivery was late.
+    const Span* best = nullptr;
+    if (last_root != nullptr) {
+      for (const Span* s : chain) {
+        if (s->parent != last_root->id || s->kind == SpanKind::kPlayout) {
+          continue;
+        }
+        if (best == nullptr || s->elapsed() > best->elapsed()) best = s;
+      }
+    }
+    if (best != nullptr) {
+      ex.critical_phase = span_kind_name(best->kind);
+      ex.cause += "; critical path: " + ex.critical_phase;
+    }
+
+    // The anomalies on this viewer, or swarm-wide, overlapping the stall.
+    std::vector<std::size_t> candidates;
+    if (const auto it = viewers.find(ex.node); it != viewers.end()) {
+      std::merge(it->second.anomalies.begin(), it->second.anomalies.end(),
+                 swarm_wide.begin(), swarm_wide.end(),
+                 std::back_inserter(candidates));
+    } else {
+      candidates = swarm_wide;
+    }
+    for (const std::size_t i : candidates) {
+      const Anomaly& a = anomalies[i];
+      const bool begins_before_stall_ends =
+          ex.end.is_infinite() || !(a.onset > ex.end);
+      const bool ends_after_stall_begins = !(a.end < ex.start);
+      if (begins_before_stall_ends && ends_after_stall_begins) {
+        ex.anomalies.push_back(i);
+      }
     }
     out.push_back(std::move(ex));
   }
   return out;
 }
 
-std::string summarize_timeline(const std::vector<Event>& events) {
+std::string summarize_timeline(const std::vector<Span>& spans) {
   struct SessionInfo {
     bool joined = false;
     TimePoint join_time;
@@ -578,33 +355,38 @@ std::string summarize_timeline(const std::vector<Event>& events) {
     TimePoint left_time;
   };
   std::map<std::int64_t, SessionInfo> sessions;
-  for (const Event& e : events) {
-    if (const auto* p = std::get_if<PeerJoined>(&e.payload)) {
-      SessionInfo& s = sessions[p->node];
-      s.joined = true;
-      s.join_time = e.time;
-    } else if (const auto* p2 = std::get_if<PlaybackStarted>(&e.payload)) {
-      SessionInfo& s = sessions[p2->node];
-      s.started = true;
-      s.start_time = e.time;
-      s.startup = p2->startup;
-    } else if (const auto* p3 = std::get_if<PlaybackFinished>(&e.payload)) {
-      SessionInfo& s = sessions[p3->node];
-      s.finished = true;
-      s.finish_time = e.time;
-      s.completion = p3->completion;
-    } else if (const auto* p4 = std::get_if<PeerLeft>(&e.payload)) {
-      SessionInfo& s = sessions[p4->node];
-      s.left = true;
-      s.left_time = e.time;
+  for (const Span& s : spans) {
+    if (s.kind == SpanKind::kAnnounce) {
+      SessionInfo& session = sessions[s.node];
+      session.joined = true;
+      session.join_time = s.t_start;
+    } else if (s.kind == SpanKind::kPlayback) {
+      SessionInfo& session = sessions[s.node];
+      session.started = true;
+      session.start_time = s.t_start;
+      session.startup = Duration::micros(s.attr);
+      if (!s.open()) {
+        session.finished = true;
+        session.finish_time = s.t_end;
+        session.completion = (s.t_end - s.t_start) + session.startup;
+      }
+    } else if (s.kind == SpanKind::kLeave) {
+      SessionInfo& session = sessions[s.node];
+      session.left = true;
+      session.left_time = s.t_start;
     }
   }
 
-  const std::vector<StallExplanation> stalls = explain_stalls(events);
+  const std::vector<StallExplanation> stalls = explain_stalls(spans);
+  std::unordered_map<std::int64_t, std::vector<const StallExplanation*>>
+      stalls_by_node;
+  for (const StallExplanation& ex : stalls) {
+    stalls_by_node[ex.node].push_back(&ex);
+  }
 
   std::ostringstream out;
   out << "=== session timeline: " << sessions.size() << " viewers, "
-      << stalls.size() << " stalls, " << events.size() << " events ===\n";
+      << stalls.size() << " stalls, " << spans.size() << " spans ===\n";
   for (const auto& [node, s] : sessions) {
     out << node_name(node) << ":";
     if (s.joined) out << " joined " << seconds(s.join_time) << "s;";
@@ -619,17 +401,17 @@ std::string summarize_timeline(const std::vector<Event>& events) {
     if (s.left) out << " left " << seconds(s.left_time) << "s;";
     if (!s.joined && !s.started) out << " (no session events);";
     out << "\n";
+    const auto own = stalls_by_node.find(node);
+    if (own == stalls_by_node.end()) continue;
     std::size_t n = 0;
-    for (const StallExplanation& ex : stalls) {
-      if (ex.node != node) continue;
-      ++n;
-      out << "  stall #" << n << " at " << seconds(ex.start) << "s";
-      if (ex.end.is_infinite()) {
+    for (const StallExplanation* ex : own->second) {
+      out << "  stall #" << ++n << " at " << seconds(ex->start) << "s";
+      if (ex->end.is_infinite()) {
         out << " (unresolved)";
       } else {
-        out << " for " << seconds(ex.duration) << "s";
+        out << " for " << seconds(ex->duration) << "s";
       }
-      out << " waiting on segment " << ex.segment << ": " << ex.cause
+      out << " waiting on segment " << ex->segment << ": " << ex->cause
           << "\n";
     }
   }
@@ -653,50 +435,40 @@ std::string metrics_csv(const MetricsRegistry& registry) {
 // ---------------------------------------------------------- Observability
 
 Observability::Observability(ObsOptions options)
-    : options_{std::move(options)}, scope_{&bus_, &registry_} {
+    : options_{std::move(options)}, scope_{&registry_} {
   if (!options_.trace_path.empty()) {
     trace_file_.open(options_.trace_path, std::ios::trunc);
     require(trace_file_.is_open(),
             "cannot open trace file '" + options_.trace_path + "'");
-    file_writer_ = std::make_unique<JsonlWriter>(trace_file_);
-    file_writer_->attach(bus_);
   }
-  if (options_.trace_stream != nullptr) {
-    stream_writer_ = std::make_unique<JsonlWriter>(*options_.trace_stream);
-    stream_writer_->attach(bus_);
-  }
-  if (options_.collect_events) recorder_.attach(bus_);
   if (options_.profile) {
     profiler_ = std::make_unique<Profiler>();
     profiler_scope_ = std::make_unique<ScopedProfiler>(profiler_.get());
   }
-  if (options_.spans) {
-    spans_ = std::make_unique<SpanRecorder>(options_.span_capacity);
+  if (options_.spans || !options_.trace_path.empty()) {
+    spans_ = std::make_unique<SpanRecorder>();
     span_scope_ = std::make_unique<ScopedSpanRecorder>(spans_.get());
-  }
-  if (options_.capture_logs) {
-    previous_sink_ = set_log_sink(
-        [this](LogLevel level, const std::string& component,
-               const std::string& message) {
-          log_to_stderr(level, component, message);
-          bus_.emit(options_.clock ? options_.clock()
-                                   : TimePoint::origin(),
-                    LogMessage{static_cast<int>(level), component, message});
-        });
-    sink_installed_ = true;
   }
 }
 
 Observability::~Observability() {
-  if (sink_installed_) set_log_sink(std::move(previous_sink_));
   if (!options_.metrics_csv_path.empty()) {
     write_metrics_csv(options_.metrics_csv_path);
   }
-  if (trace_file_.is_open()) trace_file_.flush();
 }
 
 std::string Observability::timeline() const {
-  return summarize_timeline(recorder_.events());
+  return summarize_timeline(spans());
+}
+
+void Observability::finish(TimePoint end) {
+  if (spans_ == nullptr) return;
+  spans_->finish(end);
+  if (!trace_file_.is_open()) return;
+  for (const Span& span : spans_->spans()) {
+    trace_file_ << span_to_jsonl(span) << '\n';
+  }
+  trace_file_.close();
 }
 
 void Observability::write_metrics_csv(const std::string& path) const {

@@ -1,106 +1,55 @@
-// Trace and metrics exporters.
+// Views over the lifecycle record (obs/span.h) and the metrics registry.
 //
-// Three consumers of the TraceBus:
-//   - JsonlWriter: one JSON object per event, append-only, deterministic
-//     field order — identical seeded runs produce byte-identical files.
-//   - TraceRecorder: keeps events in memory for post-run analysis.
-//   - explain_stalls()/summarize_timeline(): joins each stall against the
-//     in-flight segment, churn, and pool-size events around it and names
-//     the cause (holder left, transfer aborted, oversized GOP, pool
-//     collapse, plain bandwidth shortfall, ...).
-// Plus metrics_csv() for the MetricsRegistry, parse_jsonl_line() for
-// round-tripping traces back in, and Observability — the one-stop bundle
-// (bus + registry + exporters + scoped install + log capture) that
+//   - span_to_jsonl()/parse_span_line(): the --trace format, one JSON
+//     object per span in id order, written when the run ends; a trace
+//     file parses back into exactly the recorded spans.
+//   - explain_stalls(): the one stall explainer. It indexes the record
+//     once by (node, segment) and names each stall's cause (holder left,
+//     transfer aborted, oversized GOP, pool collapse, plain bandwidth
+//     shortfall, ...), the critical phase of the blocking delivery, and
+//     the anomalies overlapping the stall.
+//   - summarize_timeline(): per-viewer sessions with every stall
+//     explained, plus a cause tally.
+// Plus metrics_csv() for the MetricsRegistry, and Observability — the
+// one-stop bundle (registry + record + profiler + scoped install) that
 // run_scenario and the CLI tools use.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
-#include "common/log.h"
+#include "obs/anomaly.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace vsplice::obs {
 
 // ----------------------------------------------------------------- JSONL
 
-/// One event as a single-line JSON object:
-///   {"t_us":120000,"seq":7,"kind":"stall_begin","node":3,...}
-[[nodiscard]] std::string to_jsonl(const Event& event);
+/// One span as a single-line JSON object, fields in a fixed order:
+///   {"id":7,"parent":3,"kind":"piece_transfer","node":4,"segment":12,
+///    "start_us":1250000,"end_us":2250000,"attr":939430,
+///    "aborted":false,"open":false}
+[[nodiscard]] std::string span_to_jsonl(const Span& span);
 
-/// `text` as a quoted JSON string literal. Control characters use the
-/// named escapes (plus \u00xx), and non-ASCII bytes are escaped
-/// per-byte, so output is always pure ASCII and round-trips exactly
-/// through parse_jsonl_line. Shared by to_jsonl and the report writers.
-[[nodiscard]] std::string json_escape(const std::string& text);
+/// Parses one line written by span_to_jsonl. Returns nullopt when the
+/// line is not such an object (malformed JSON, a missing or mistyped
+/// field, an unknown kind).
+[[nodiscard]] std::optional<Span> parse_span_line(const std::string& line);
 
-/// A parsed trace line: the envelope plus every payload field as raw
-/// text (numbers unquoted as written, strings unescaped).
-struct ParsedEvent {
-  std::int64_t t_us = 0;
-  std::uint64_t seq = 0;
-  std::string kind;
-  std::map<std::string, std::string> fields;
-};
+// ------------------------------------------------------ stall explanation
 
-/// Parses one line written by to_jsonl (flat JSON object, string and
-/// number values). Returns nullopt on malformed input.
-[[nodiscard]] std::optional<ParsedEvent> parse_jsonl_line(
-    const std::string& line);
-
-/// Streams every event of the bus it subscribes to as JSONL.
-class JsonlWriter {
- public:
-  /// `out` must outlive the subscription.
-  explicit JsonlWriter(std::ostream& out) : out_{out} {}
-  JsonlWriter(const JsonlWriter&) = delete;
-  JsonlWriter& operator=(const JsonlWriter&) = delete;
-
-  void write(const Event& event);
-  /// Subscribes this writer; caller owns the subscription id.
-  TraceBus::SubscriptionId attach(TraceBus& bus);
-
-  [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
-
- private:
-  std::ostream& out_;
-  std::uint64_t lines_ = 0;
-};
-
-// -------------------------------------------------------------- recorder
-
-/// Buffers events in memory, in emission order.
-class TraceRecorder {
- public:
-  TraceRecorder() = default;
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  TraceBus::SubscriptionId attach(TraceBus& bus);
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<Event> events_;
-};
-
-// ----------------------------------------------------- stall attribution
-
-/// Why a viewer stalled, derived purely from the event trace.
+/// Why a viewer stalled, derived from the lifecycle record.
 struct StallExplanation {
   std::int64_t node = -1;
   TimePoint start;
-  /// Infinite when the stall never resolved within the trace.
+  /// Infinite when the stall never resolved within the record.
   TimePoint end = TimePoint::infinity();
   Duration duration = Duration::zero();
   /// The segment whose absence blocked playback.
@@ -111,28 +60,25 @@ struct StallExplanation {
   std::string category;
   /// Human-readable one-liner with the numbers behind the verdict.
   std::string cause;
-  /// When causal spans were recorded: the dominant phase on the span
-  /// chain of the blocking segment's delivery (dominant_phase() over
-  /// the last fetch), e.g. "server_queue" or "piece_transfer". Empty
-  /// when span tracing was off or no chain was recorded.
+  /// The dominant phase on the span chain of the blocking segment's last
+  /// fetch (e.g. "server_queue" or "piece_transfer"); empty when no
+  /// fetch of that segment was recorded.
   std::string critical_phase;
+  /// Indices into the anomaly vector given to explain_stalls() of the
+  /// anomalies on this viewer (or swarm-wide) overlapping the stall.
+  std::vector<std::size_t> anomalies;
 };
 
-/// Joins every StallBegin against the segment/churn/pool events around
-/// it. Every stall receives a non-empty category and cause.
+/// Explains every stall span, in record order. Every stall receives a
+/// non-empty category and cause; a recorded fetch chain adds its
+/// critical phase to the cause.
 [[nodiscard]] std::vector<StallExplanation> explain_stalls(
-    const std::vector<Event>& events);
+    const std::vector<Span>& spans,
+    const std::vector<Anomaly>& anomalies = {});
 
-/// Like explain_stalls(events), additionally walking each stall's span
-/// chain (when non-empty) to fill critical_phase and append the
-/// provenance-backed phase to the cause text.
-[[nodiscard]] std::vector<StallExplanation> explain_stalls(
-    const std::vector<Event>& events, const std::vector<Span>& spans);
-
-/// Per-viewer session timelines (join/start/stalls/finish) with each
-/// stall attributed, followed by a cause tally.
-[[nodiscard]] std::string summarize_timeline(
-    const std::vector<Event>& events);
+/// Per-viewer session timelines (join/start/stalls/finish/leave) with
+/// each stall explained, followed by a cause tally.
+[[nodiscard]] std::string summarize_timeline(const std::vector<Span>& spans);
 
 // --------------------------------------------------------------- metrics
 
@@ -143,33 +89,23 @@ struct StallExplanation {
 // --------------------------------------------------- one-stop session API
 
 struct ObsOptions {
-  /// JSONL trace destination; empty = no file.
+  /// Span-trace JSONL destination, written by finish(); empty = no
+  /// file. Implies `spans`.
   std::string trace_path;
-  /// Alternative trace sink for tests (used in addition to trace_path).
-  std::ostream* trace_stream = nullptr;
-  /// Keep events in memory so timeline()/events() work after the run.
-  bool collect_events = false;
   /// Metrics CSV destination, written on destruction; empty = none.
   std::string metrics_csv_path;
-  /// Stamps events derived from log lines (pass the scenario's
-  /// [&sim] { return sim.now(); }); origin timestamps when absent.
-  std::function<TimePoint()> clock;
-  /// Mirror log lines that pass the level filter into the trace.
-  bool capture_logs = true;
   /// Install a hot-path profiler for this thread (VSPLICE_PROFILE_SCOPE
   /// accumulates into it; read back via profile_snapshot()).
   bool profile = false;
-  /// Install a causal-span recorder for this thread (lifecycle code
-  /// feeds it through obs::open_span/close_span; read back via spans()).
+  /// Install the lifecycle record for this thread (lifecycle code feeds
+  /// it through obs::open_span/close_span/instant_span; read back via
+  /// spans()).
   bool spans = false;
-  /// Span capacity cap (spans beyond it are dropped and counted).
-  std::size_t span_capacity = kDefaultSpanCapacity;
 };
 
-/// Owns a TraceBus + MetricsRegistry, installs them as the scoped
-/// globals, attaches the requested exporters, and (optionally) hooks the
-/// log sink so VSPLICE_LOG output lands in the trace too. Destruction
-/// flushes files and restores the previous context.
+/// Owns a MetricsRegistry and the requested recorders, installs them as
+/// the scoped per-thread globals, and writes the file views. Destruction
+/// writes the metrics CSV and restores the previous context.
 class Observability {
  public:
   explicit Observability(ObsOptions options);
@@ -177,15 +113,14 @@ class Observability {
   Observability& operator=(const Observability&) = delete;
   ~Observability();
 
-  [[nodiscard]] TraceBus& bus() { return bus_; }
   [[nodiscard]] MetricsRegistry& registry() { return registry_; }
 
-  /// Recorded events; empty unless collect_events was requested.
-  [[nodiscard]] const std::vector<Event>& events() const {
-    return recorder_.events();
-  }
-  /// summarize_timeline over the recorded events.
+  /// summarize_timeline over the record.
   [[nodiscard]] std::string timeline() const;
+
+  /// Ends the record at `end`: closes every still-open span (keeping its
+  /// open flag) and writes the trace file, when one was requested.
+  void finish(TimePoint end);
 
   /// Writes the metrics CSV now (also done automatically on destruction
   /// when metrics_csv_path is set).
@@ -198,37 +133,27 @@ class Observability {
     return profiler_ != nullptr ? profiler_->snapshot() : ProfileSnapshot{};
   }
 
-  /// True when ObsOptions::spans installed a span recorder.
+  /// True when the lifecycle record is installed.
   [[nodiscard]] bool span_tracing() const { return spans_ != nullptr; }
-  /// The installed recorder; nullptr when span tracing is off.
+  /// The installed recorder; nullptr when the record is off.
   [[nodiscard]] SpanRecorder* span_recorder() { return spans_.get(); }
-  /// Recorded spans; empty when span tracing is off.
+  /// Recorded spans; empty when the record is off.
   [[nodiscard]] const std::vector<Span>& spans() const {
     static const std::vector<Span> kEmpty;
     return spans_ != nullptr ? spans_->spans() : kEmpty;
   }
-  /// Spans rejected by the capacity cap; 0 when span tracing is off.
-  [[nodiscard]] std::uint64_t spans_dropped() const {
-    return spans_ != nullptr ? spans_->dropped() : 0;
-  }
 
  private:
   ObsOptions options_;
-  TraceBus bus_;
   MetricsRegistry registry_;
-  TraceRecorder recorder_;
   std::ofstream trace_file_;
-  std::unique_ptr<JsonlWriter> file_writer_;
-  std::unique_ptr<JsonlWriter> stream_writer_;
-  LogSink previous_sink_;
-  bool sink_installed_ = false;
   ScopedObs scope_;
   /// Allocated only when options_.profile; installed for this thread
   /// right after scope_ (independent thread_local, so the declaration
   /// order next to ScopedObs carries no restore-order constraint).
   std::unique_ptr<Profiler> profiler_;
   std::unique_ptr<ScopedProfiler> profiler_scope_;
-  /// Allocated only when options_.spans; same install pattern as the
+  /// Allocated only when the record is on; same install pattern as the
   /// profiler (independent thread_local).
   std::unique_ptr<SpanRecorder> spans_;
   std::unique_ptr<ScopedSpanRecorder> span_scope_;

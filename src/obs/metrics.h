@@ -9,7 +9,7 @@
 // may cache the reference.
 //
 // The inline count()/set_gauge()/observe() helpers write to the
-// currently installed registry (ScopedObs in trace.h) and are a single
+// currently installed registry (ScopedObs below) and are a single
 // pointer test when observability is off.
 #pragma once
 
@@ -22,7 +22,6 @@
 
 #include "common/histogram.h"
 #include "common/stats.h"
-#include "obs/trace.h"
 
 namespace vsplice::obs {
 
@@ -111,6 +110,44 @@ class MetricsRegistry {
 };
 
 // ------------------------------------------------- installed-registry API
+
+namespace detail {
+// Thread-local installed registry: each simulation run is single-threaded
+// on its own Simulator, but experiments::ParallelRunner executes many
+// runs on concurrent worker threads. Giving every thread its own
+// installed registry keeps the helpers lock-free (still a single pointer
+// test when observability is off) and keeps concurrent runs isolated.
+inline thread_local MetricsRegistry* g_metrics = nullptr;
+/// Bumped on every ScopedObs install/restore. Cached metric handles
+/// (CachedCounter/CachedGauge below) revalidate against it, so a
+/// pointer cached under one installed registry is never used under
+/// another — even one that reuses the same address. Starts at 0 and a
+/// registry can only be installed through ScopedObs (which bumps), so
+/// generation 0 always means "nothing resolved yet".
+inline thread_local std::uint64_t g_obs_generation = 0;
+}  // namespace detail
+
+[[nodiscard]] inline MetricsRegistry* metrics() { return detail::g_metrics; }
+
+/// Installs a metrics registry for the enclosing scope and restores the
+/// previous one on destruction (scopes nest; the innermost wins).
+class ScopedObs {
+ public:
+  explicit ScopedObs(MetricsRegistry* metrics)
+      : previous_metrics_{detail::g_metrics} {
+    detail::g_metrics = metrics;
+    ++detail::g_obs_generation;
+  }
+  ScopedObs(const ScopedObs&) = delete;
+  ScopedObs& operator=(const ScopedObs&) = delete;
+  ~ScopedObs() {
+    detail::g_metrics = previous_metrics_;
+    ++detail::g_obs_generation;
+  }
+
+ private:
+  MetricsRegistry* previous_metrics_;
+};
 
 inline void count(std::string_view name, std::uint64_t n = 1) {
   if (MetricsRegistry* m = detail::g_metrics) m->counter(name).add(n);

@@ -515,22 +515,16 @@ std::string fmt_bytes(std::uint64_t bytes) {
 // ============================================================ build/write
 
 ReportData build_report(RunInfo info, const TimeSeriesStore& store,
-                        const std::vector<Event>& events,
-                        const MetricsRegistry* metrics,
-                        const std::vector<Span>* spans) {
+                        const std::vector<Span>& spans,
+                        const MetricsRegistry* metrics) {
   ReportData data;
   data.info = std::move(info);
   data.series = &store;
   data.metrics = metrics;
-  if (spans != nullptr) {
-    data.stalls = explain_stalls(events, *spans);
-    data.waterfall = segment_waterfall(*spans);
-  } else {
-    data.stalls = explain_stalls(events);
-  }
-  data.anomalies = scan_anomalies(store, events);
-  data.attributions = attribute_stalls(data.stalls, data.anomalies);
-  if (!events.empty()) data.timeline = summarize_timeline(events);
+  data.anomalies = scan_anomalies(store, spans);
+  data.stalls = explain_stalls(spans, data.anomalies);
+  data.waterfall = segment_waterfall(spans);
+  if (!spans.empty()) data.timeline = summarize_timeline(spans);
   return data;
 }
 
@@ -627,12 +621,9 @@ std::string render_json_snapshot(const ReportData& data) {
            ",\"cause\":" + json_escape(stall.cause) +
            ",\"critical_phase\":" + json_escape(stall.critical_phase) +
            ",\"anomalies\":[";
-    if (i < data.attributions.size()) {
-      const std::vector<std::size_t>& refs = data.attributions[i].anomalies;
-      for (std::size_t j = 0; j < refs.size(); ++j) {
-        if (j > 0) out += ',';
-        out += std::to_string(refs[j]);
-      }
+    for (std::size_t j = 0; j < stall.anomalies.size(); ++j) {
+      if (j > 0) out += ',';
+      out += std::to_string(stall.anomalies[j]);
     }
     out += "]}";
   }
@@ -977,16 +968,13 @@ std::string render_html_report(const ReportData& data) {
               "</td><td class=\"num\">" + std::to_string(stall.segment) +
               "</td><td>" + html_escape(stall.category) + "</td><td>" +
               html_escape(stall.cause) + "</td><td>";
-      if (i < data.attributions.size()) {
-        const std::vector<std::size_t>& refs =
-            data.attributions[i].anomalies;
-        for (std::size_t j = 0; j < refs.size(); ++j) {
-          if (j > 0) html += ", ";
-          html += "<a href=\"#anomaly-" + std::to_string(refs[j]) + "\">#" +
-                  std::to_string(refs[j]) + "</a>";
-        }
-        if (refs.empty()) html += "-";
+      const std::vector<std::size_t>& refs = stall.anomalies;
+      for (std::size_t j = 0; j < refs.size(); ++j) {
+        if (j > 0) html += ", ";
+        html += "<a href=\"#anomaly-" + std::to_string(refs[j]) + "\">#" +
+                std::to_string(refs[j]) + "</a>";
       }
+      if (refs.empty()) html += "-";
       html += "</td></tr>";
     }
     html += "</table>\n";

@@ -1,4 +1,4 @@
-// Self-contained run reports over one sampled + traced run.
+// Self-contained run reports over one sampled + recorded run.
 //
 // Two writers share a ReportData bundle:
 //   render_json_snapshot — deterministic machine-readable JSON (sorted
@@ -38,19 +38,17 @@ struct ReportData {
   const TimeSeriesStore* series = nullptr;
   /// Optional; enables the metrics section.
   const MetricsRegistry* metrics = nullptr;
+  /// Each stall's `anomalies` indices point into `anomalies`.
   std::vector<StallExplanation> stalls;
   std::vector<Anomaly> anomalies;
-  /// attributions[i] explains stalls[i]; its indices point into
-  /// `anomalies`.
-  std::vector<StallAttribution> attributions;
   /// Preformatted per-viewer timeline (summarize_timeline), optional.
   std::string timeline;
   /// Hot-path profile (empty unless the run profiled); values are wall
   /// nanoseconds, so a profiled snapshot is NOT byte-identical across
   /// machines — the structure (paths, counts) is.
   ProfileSnapshot profile;
-  /// Per-phase segment-delivery waterfall (empty unless the run recorded
-  /// causal spans). Built from simulated time: deterministic.
+  /// Per-phase segment-delivery waterfall (empty when the record holds
+  /// no delivery spans). Built from simulated time: deterministic.
   std::vector<PhaseStats> waterfall;
   /// Per-subsystem byte gauges at end of run (empty = no Memory
   /// section).
@@ -61,17 +59,13 @@ struct ReportData {
   double memory_bytes_per_peer = 0.0;
 };
 
-/// Joins everything the writers need: explains the stalls from the
-/// event trace, scans the series for anomalies, attributes one to the
-/// other, and renders the timeline text. When `spans` is non-null the
-/// stall causes gain their span-chain critical-path clause and the
-/// waterfall section is filled.
+/// Joins everything the writers need from the lifecycle record: scans
+/// the series for anomalies, explains the stalls against them, and
+/// builds the waterfall and the timeline text.
 [[nodiscard]] ReportData build_report(RunInfo info,
                                       const TimeSeriesStore& store,
-                                      const std::vector<Event>& events,
+                                      const std::vector<Span>& spans,
                                       const MetricsRegistry* metrics =
-                                          nullptr,
-                                      const std::vector<Span>* spans =
                                           nullptr);
 
 [[nodiscard]] std::string render_json_snapshot(const ReportData& data);

@@ -1,15 +1,13 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
 
-#include "obs/exporters.h"  // json_escape
+#include "obs/json.h"
 
 namespace vsplice::obs {
 
@@ -35,23 +33,34 @@ const char* span_kind_name(SpanKind kind) {
       return "buffer_insert";
     case SpanKind::kPlayout:
       return "playout";
+    case SpanKind::kStall:
+      return "stall";
+    case SpanKind::kPool:
+      return "pool";
+    case SpanKind::kLeave:
+      return "leave";
+    case SpanKind::kPlayback:
+      return "playback";
   }
   return "unknown";
 }
 
-// ---------------------------------------------------------- SpanRecorder
+bool span_kind_from_name(const std::string& name, SpanKind& out) {
+  for (std::size_t k = 0; k < kSpanKindCount; ++k) {
+    const auto kind = static_cast<SpanKind>(k);
+    if (name == span_kind_name(kind)) {
+      out = kind;
+      return true;
+    }
+  }
+  return false;
+}
 
-SpanRecorder::SpanRecorder(std::size_t capacity) : capacity_{capacity} {}
+// ---------------------------------------------------------- SpanRecorder
 
 std::uint64_t SpanRecorder::open(SpanKind kind, TimePoint start,
                                  std::uint64_t parent, std::int64_t node,
                                  std::int64_t segment, std::int64_t attr) {
-  if (spans_.size() >= capacity_) {
-    // Drop-newest: evicting old spans would orphan children whose
-    // parent ids the exporters must still resolve.
-    ++dropped_;
-    return 0;
-  }
   Span s;
   s.id = static_cast<std::uint64_t>(spans_.size()) + 1;
   s.parent = parent;
@@ -100,10 +109,7 @@ void SpanRecorder::finish(TimePoint end) {
   }
 }
 
-void SpanRecorder::clear() {
-  spans_.clear();
-  dropped_ = 0;
-}
+void SpanRecorder::clear() { spans_.clear(); }
 
 // ------------------------------------------------------------- waterfall
 
@@ -121,14 +127,14 @@ double percentile_us(const std::vector<std::int64_t>& sorted, double q) {
 }  // namespace
 
 std::vector<PhaseStats> segment_waterfall(const std::vector<Span>& spans) {
-  std::vector<std::vector<std::int64_t>> by_kind(kSpanKindCount);
+  std::vector<std::vector<std::int64_t>> by_kind(kDeliveryPhaseCount);
   for (const Span& s : spans) {
-    if (s.open() || s.aborted()) continue;
-    by_kind[static_cast<std::size_t>(s.kind)].push_back(
-        s.elapsed().count_micros());
+    const auto kind = static_cast<std::size_t>(s.kind);
+    if (kind >= kDeliveryPhaseCount || s.open() || s.aborted()) continue;
+    by_kind[kind].push_back(s.elapsed().count_micros());
   }
   std::vector<PhaseStats> out;
-  for (std::size_t k = 0; k < kSpanKindCount; ++k) {
+  for (std::size_t k = 0; k < kDeliveryPhaseCount; ++k) {
     std::vector<std::int64_t>& durations = by_kind[k];
     if (durations.empty()) continue;
     std::sort(durations.begin(), durations.end());
@@ -166,38 +172,13 @@ std::string waterfall_to_text(const std::vector<PhaseStats>& waterfall) {
     std::snprintf(count_buf, sizeof count_buf, "%11llu",
                   static_cast<unsigned long long>(row.count));
     text += count_buf;
-    text += " " + cell(row.p50_s) + " " + cell(row.p95_s) + " " +
-            cell(row.p99_s) + " " + cell(row.total_s);
+    for (const double v : {row.p50_s, row.p95_s, row.p99_s, row.total_s}) {
+      text += ' ';
+      text += cell(v);
+    }
     text += '\n';
   }
   return text;
-}
-
-// --------------------------------------------------------- critical path
-
-std::string dominant_phase(const std::vector<Span>& spans, std::int64_t node,
-                           std::int64_t segment) {
-  // The *last* fetch of (node, segment): retries open a fresh kSegment
-  // root, and the delivery the playhead finally blocked on is the
-  // latest one.
-  std::uint64_t root = 0;
-  for (const Span& s : spans) {
-    if (s.kind == SpanKind::kSegment && s.node == node &&
-        s.segment == segment) {
-      root = s.id;
-    }
-  }
-  if (root == 0) return "";
-  const Span* best = nullptr;
-  for (const Span& s : spans) {
-    if (s.parent != root) continue;
-    // Playout hangs off the same root but happens after delivery — it
-    // is never the reason the delivery was late.
-    if (s.kind == SpanKind::kPlayout) continue;
-    if (best == nullptr || s.elapsed() > best->elapsed()) best = &s;
-  }
-  if (best == nullptr) return "";
-  return span_kind_name(best->kind);
 }
 
 // -------------------------------------------------------- Chrome export
@@ -353,219 +334,8 @@ std::string render_chrome_trace(const std::vector<Span>& spans,
 }
 
 // ----------------------------------------------------------- validation
-//
-// A deliberately small recursive-descent JSON reader — just enough to
-// check the structure of a file render_chrome_trace wrote (or that a
-// regression mangled). Not a general-purpose parser.
 
 namespace {
-
-struct JsonValue {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_{text} {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    if (!value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing content after JSON value";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  bool literal(const char* word, std::string& error) {
-    const std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0) {
-      return fail(error, std::string("expected '") + word + "'");
-    }
-    pos_ += n;
-    return true;
-  }
-
-  bool value(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail(error, "unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return object(out, error);
-    if (c == '[') return array(out, error);
-    if (c == '"') {
-      out.type = JsonValue::Type::String;
-      return string(out.string, error);
-    }
-    if (c == 't') {
-      out.type = JsonValue::Type::Bool;
-      out.boolean = true;
-      return literal("true", error);
-    }
-    if (c == 'f') {
-      out.type = JsonValue::Type::Bool;
-      out.boolean = false;
-      return literal("false", error);
-    }
-    if (c == 'n') {
-      out.type = JsonValue::Type::Null;
-      return literal("null", error);
-    }
-    return number(out, error);
-  }
-
-  bool number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail(error, "expected a value");
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    out.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return fail(error, "malformed number '" + token + "'");
-    }
-    out.type = JsonValue::Type::Number;
-    return true;
-  }
-
-  bool string(std::string& out, std::string& error) {
-    if (text_[pos_] != '"') return fail(error, "expected '\"'");
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) {
-              return fail(error, "truncated \\u escape");
-            }
-            pos_ += 4;  // keep the raw code point out of the value; the
-            c = '?';    // validator never inspects escaped characters
-            break;
-          }
-          default:
-            return fail(error, "unknown escape");
-        }
-      }
-      out.push_back(c);
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return fail(error, "unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool array(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::Array;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!value(element, error)) return false;
-      out.array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']'");
-    }
-  }
-
-  bool object(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::Object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail(error, "expected object key");
-      }
-      if (!string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail(error, "expected ':'");
-      }
-      ++pos_;
-      JsonValue element;
-      if (!value(element, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}'");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 bool set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -577,7 +347,7 @@ bool set_error(std::string* error, const std::string& what) {
 bool validate_chrome_trace(const std::string& json, std::string* error) {
   JsonValue root;
   std::string parse_error;
-  if (!JsonReader{json}.parse(root, parse_error)) {
+  if (!parse_json(json, root, parse_error)) {
     return set_error(error, "not valid JSON: " + parse_error);
   }
   if (root.type != JsonValue::Type::Object) {

@@ -1,21 +1,23 @@
-// Causal span tracing for the segment delivery lifecycle.
+// The lifecycle record: causal spans plus a few instants.
 //
 // A Span is one timed phase of one segment's journey from splice
 // artifact to playhead: the leecher's request decision, the tracker
 // announce wait, choke/unchoke wait, REQUEST send, server queue,
 // PIECE transfer, verify, buffer insert, playback consume. Spans carry
 // a parent id, so every delivered segment has a reconstructible causal
-// chain (kSegment root -> phase children) that the waterfall
-// aggregator, the critical-path stall attributor, and the Chrome
-// trace exporter all walk.
+// chain (kSegment root -> phase children). Beside the chains the record
+// holds each viewer's stalls and playback session as spans, and its
+// pool-size changes and departure as instants. It is the only record of
+// a run: the --trace JSONL, the waterfall, the stall explainer, the
+// anomaly scan, the timeline and the Chrome trace are all views of it
+// (obs/exporters.h, obs/anomaly.h).
 //
 // Cost model (same bar as the profiler):
-//   - disabled (no recorder installed): open_span()/close_span() are one
+//   - disabled (no recorder installed): every record call is one
 //     thread_local pointer read and a branch — no clock reads, no
 //     allocation; bench_micro self-checks this at <2% of an event-loop
 //     op.
-//   - enabled: an append into a pre-grown vector (bounded by the
-//     capacity cap below).
+//   - enabled: an append to a vector.
 //
 // Determinism: the recorder only reads the caller-supplied sim time and
 // writes into its own vector. It never touches RNG state, never
@@ -24,15 +26,13 @@
 // quickstart configs). Span ids are 1-based sequential per recorder, so
 // identical seeded runs produce byte-identical span streams.
 //
-// Memory: the recorder is bounded by a capacity cap. Once full, new
-// spans are *dropped* (drop-newest, counted in dropped()) rather than
-// overwriting old ones — evicting a parent would break the causal
-// chains the exporters rely on (every recorded span's parent id must
-// resolve). memory_bytes() feeds the "obs.spans" MemoryBreakdown row.
+// Memory: the recorder holds the whole run; nothing is dropped, so
+// every parent id resolves. memory_bytes() feeds the "obs.spans"
+// MemoryBreakdown row.
 //
-// Threading: like TraceBus/Profiler, installation is per-thread
-// (detail::g_spans, ScopedSpanRecorder). Each ParallelRunner worker
-// gets its own recorder.
+// Threading: like the profiler and the metrics registry, installation
+// is per-thread (detail::g_spans, ScopedSpanRecorder). Each
+// ParallelRunner worker gets its own recorder.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +69,29 @@ enum class SpanKind : std::uint8_t {
   /// The playhead consumed the segment (media-time window mapped onto
   /// the wall clock via the player's anchor).
   kPlayout,
+  /// A viewer's playback froze: stall begin -> resume, left open when
+  /// it never resumed. `segment` is the blocking segment, `attr` the
+  /// playhead (media position) in microseconds.
+  kStall,
+  /// Instant: the adaptive pool target (Eq. 1) changed; `attr` is k.
+  kPool,
+  /// Instant: the node left the swarm.
+  kLeave,
+  /// First frame -> last frame of a viewer's session, left open while
+  /// still playing; `attr` is the startup delay in microseconds.
+  kPlayback,
 };
 
 /// Number of SpanKind enumerators (for per-kind tables).
-inline constexpr std::size_t kSpanKindCount = 10;
+inline constexpr std::size_t kSpanKindCount = 14;
+/// The kinds before kStall are the segment delivery phases: the
+/// waterfall rows.
+inline constexpr std::size_t kDeliveryPhaseCount = 10;
 
 /// Stable snake_case name ("announce", "piece_transfer", ...).
 [[nodiscard]] const char* span_kind_name(SpanKind kind);
+/// Inverse of span_kind_name; false on an unknown name.
+bool span_kind_from_name(const std::string& name, SpanKind& out);
 
 /// Span::flags bits.
 inline constexpr std::uint32_t kSpanAborted = 1u << 0;
@@ -95,8 +111,10 @@ struct Span {
   std::int64_t segment = -1;
   TimePoint t_start;
   TimePoint t_end;
-  /// Kind-specific scalar: bytes for transfers, holder id for request
-  /// spans, queue depth for server-queue spans; 0 when unused.
+  /// Kind-specific scalar: transfer bytes for segment roots, bytes
+  /// delivered for PIECE transfers (also when aborted), holder id for
+  /// request spans, queue depth for server-queue spans, and as noted on
+  /// the session kinds above; 0 when unused.
   std::int64_t attr = 0;
   std::uint32_t flags = 0;
 
@@ -105,21 +123,15 @@ struct Span {
   [[nodiscard]] Duration elapsed() const { return t_end - t_start; }
 };
 
-/// Default capacity cap (spans, not bytes). 64k spans cover every
-/// quickstart config with headroom; large swarms hit the cap and count
-/// drops instead of growing without bound.
-inline constexpr std::size_t kDefaultSpanCapacity = 65536;
-
-/// Per-thread bounded span store. Install with ScopedSpanRecorder (or
+/// Per-thread span store. Install with ScopedSpanRecorder (or
 /// Observability with ObsOptions::spans).
 class SpanRecorder {
  public:
-  explicit SpanRecorder(std::size_t capacity = kDefaultSpanCapacity);
+  SpanRecorder() = default;
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
-  /// Opens a span; returns its id, or 0 when the capacity cap dropped
-  /// it (0 is safe to pass to close()/set_attr(), which ignore it).
+  /// Opens a span and returns its id.
   std::uint64_t open(SpanKind kind, TimePoint start, std::uint64_t parent,
                      std::int64_t node, std::int64_t segment,
                      std::int64_t attr = 0);
@@ -141,9 +153,6 @@ class SpanRecorder {
   void finish(TimePoint end);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
-  /// Spans rejected by the capacity cap.
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Bytes held by the span store (capacity-based, like the other
   /// memory_bytes() accessors feeding MemoryBreakdown).
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -154,8 +163,6 @@ class SpanRecorder {
 
  private:
   std::vector<Span> spans_;
-  std::size_t capacity_;
-  std::uint64_t dropped_ = 0;
 };
 
 namespace detail {
@@ -232,24 +239,15 @@ struct PhaseStats {
   double total_s = 0.0;
 };
 
-/// Aggregates spans into per-phase latency percentiles (nearest-rank),
-/// rows in SpanKind order, phases with no samples omitted.
+/// Aggregates the delivery-phase spans into per-phase latency
+/// percentiles (nearest-rank), rows in SpanKind order, phases with no
+/// samples omitted.
 [[nodiscard]] std::vector<PhaseStats> segment_waterfall(
     const std::vector<Span>& spans);
 
 /// Aligned text table of a waterfall (phase/count/p50/p95/p99/total).
 [[nodiscard]] std::string waterfall_to_text(
     const std::vector<PhaseStats>& waterfall);
-
-// -------------------------------------------------------- critical path
-
-/// Walks the span chain of the *last* recorded fetch of (node, segment)
-/// and names the child phase with the largest elapsed time — the
-/// critical path of the delivery the playhead blocked on. Returns ""
-/// when no fetch of that segment was recorded.
-[[nodiscard]] std::string dominant_phase(const std::vector<Span>& spans,
-                                         std::int64_t node,
-                                         std::int64_t segment);
 
 // ------------------------------------------------------- Chrome export
 

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "p2p/swarm.h"
 
 namespace {
@@ -79,8 +78,6 @@ void Leecher::join() {
   require(swarm_.has_seeder(), "cannot join a swarm without a seeder");
   joined_ = true;
   join_time_ = swarm_.simulator().now();
-  obs::emit(join_time_,
-            obs::PeerJoined{static_cast<std::int64_t>(node_.value)});
   obs::count("p2p.peers_joined");
   announce_span_ = obs::open_span(obs::SpanKind::kAnnounce, join_time_, 0,
                                   static_cast<std::int64_t>(node_.value),
@@ -138,7 +135,7 @@ std::uint64_t Leecher::scheduler_memory_bytes() const {
           sizeof(net::NodeId) +
       static_cast<std::uint64_t>(holders_.capacity()) *
           sizeof(std::vector<net::NodeId>) +
-      rarity_.memory_bytes() + in_flight_.memory_bytes() +
+      in_flight_.memory_bytes() +
       static_cast<std::uint64_t>(pending_have_.capacity()) *
           sizeof(std::uint32_t) +
       (have_flush_ ? sim::CoalescingFlush::memory_bytes() : 0) +
@@ -212,7 +209,6 @@ void Leecher::on_metadata(const std::string& playlist_text) {
   // Now that the segment count is known, size the scheduling structures
   // and fold in any bitfields that arrived before the playlist did.
   holders_.assign(index_->count(), {});
-  rarity_.reset(index_->count());
   in_flight_ = Bitfield{index_->count()};
   for (net::NodeId peer : known_peers_) {
     add_holder_bits(peer, *known_have(peer));
@@ -401,11 +397,8 @@ void Leecher::schedule_downloads() {
   const int pool = current_pool_target();
   if (pool != last_pool_emitted_) {
     last_pool_emitted_ = pool;
-    obs::emit(swarm_.simulator().now(),
-              obs::PoolSizeChanged{
-                  static_cast<std::int64_t>(node_.value), pool,
-                  current_bandwidth_estimate().bytes_per_second() * 8.0,
-                  player_->buffered_ahead()});
+    obs::instant_span(obs::SpanKind::kPool, swarm_.simulator().now(), 0,
+                      static_cast<std::int64_t>(node_.value), -1, pool);
     obs::set_gauge("p2p.pool_target", static_cast<double>(pool));
   }
   while (downloads_.size() < static_cast<std::size_t>(pool)) {
@@ -429,16 +422,6 @@ std::optional<std::size_t> Leecher::next_segment_to_fetch() {
     return std::nullopt;
   }
   const std::size_t frontier = buffer.frontier();
-  if (config_.rarest_window > 0 && frontier < index_->count()) {
-    const std::size_t to =
-        std::min(frontier + config_.rarest_window, index_->count());
-    const auto rare = rarity_.rarest_in(frontier, to, [this](std::size_t s) {
-      return !have_.get(s) && !in_flight_.get(s);
-    });
-    if (rare) return rare;
-    // Nothing needed inside the window has a known holder; fall through
-    // to sequential so the scheduler never idles on an empty window.
-  }
   // have_ mirrors the playback buffer's downloaded set and in_flight_
   // mirrors downloads_, so this is one word scan instead of a per-index
   // loop with two lookups each.
@@ -454,7 +437,8 @@ void Leecher::start_download(std::size_t segment) {
   download.started = swarm_.simulator().now();
   download.span = obs::open_span(obs::SpanKind::kSegment, download.started,
                                  0, static_cast<std::int64_t>(node_.value),
-                                 static_cast<std::int64_t>(segment));
+                                 static_cast<std::int64_t>(segment),
+                                 index_->at(segment).size);
   in_flight_.set(segment);
   attempt_download(download);
 }
@@ -560,10 +544,6 @@ void Leecher::request_from(Download& download, net::NodeId holder) {
   const std::size_t segment = download.segment;
   const TimePoint now = swarm_.simulator().now();
   download.holder = holder;
-  obs::emit(now,
-            obs::SegmentRequested{static_cast<std::int64_t>(node_.value),
-                                  static_cast<std::int64_t>(holder.value),
-                                  segment, index_->at(segment).size});
   obs::count("p2p.segment_requests");
   if (download.wait_span != 0) {
     obs::close_span(download.wait_span, now);
@@ -667,10 +647,6 @@ void Leecher::on_piece_outcome(std::size_t segment, net::NodeId holder,
     // Stale: a transfer we already cancelled or reassigned.
     player_->metrics().bytes_wasted += result.bytes_delivered;
     player_->metrics().bytes_downloaded += result.bytes_delivered;
-    obs::emit(swarm_.simulator().now(),
-              obs::SegmentAborted{static_cast<std::int64_t>(node_.value),
-                                  static_cast<std::int64_t>(holder.value),
-                                  segment, result.bytes_delivered});
     obs::count("p2p.segments_aborted");
     return;
   }
@@ -678,10 +654,6 @@ void Leecher::on_piece_outcome(std::size_t segment, net::NodeId holder,
   player_->metrics().bytes_downloaded += result.bytes_delivered;
   if (result.aborted) {
     player_->metrics().bytes_wasted += result.bytes_delivered;
-    obs::emit(swarm_.simulator().now(),
-              obs::SegmentAborted{static_cast<std::int64_t>(node_.value),
-                                  static_cast<std::int64_t>(holder.value),
-                                  segment, result.bytes_delivered});
     obs::count("p2p.segments_aborted");
     download.tried.insert(holder);
     if (download.conn) swarm_.dispose_connection(std::move(download.conn));
@@ -696,14 +668,7 @@ void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
                                   Duration elapsed) {
   const auto it = downloads_.find(segment);
   if (it != downloads_.end()) last_server_ = it->second.holder;
-  const std::int64_t holder_id =
-      it != downloads_.end()
-          ? static_cast<std::int64_t>(it->second.holder.value)
-          : -1;
   const TimePoint now = swarm_.simulator().now();
-  obs::emit(now,
-            obs::SegmentReceived{static_cast<std::int64_t>(node_.value),
-                                 holder_id, segment, bytes, elapsed});
   obs::count("p2p.segments_received");
   obs::observe("p2p.segment_latency_s", elapsed.as_seconds(),
                kSegmentLatencySpec);
@@ -836,7 +801,6 @@ void Leecher::add_holder(net::NodeId peer, std::size_t segment) {
   const auto it = std::lower_bound(list.begin(), list.end(), peer);
   if (it != list.end() && *it == peer) return;
   list.insert(it, peer);
-  rarity_.add_holder(segment);
 }
 
 void Leecher::add_holder_bits(net::NodeId peer, const Bitfield& have) {
@@ -851,10 +815,7 @@ void Leecher::drop_holder_bits(net::NodeId peer, const Bitfield& have) {
     if (segment >= holders_.size()) return;
     std::vector<net::NodeId>& list = holders_[segment];
     const auto it = std::lower_bound(list.begin(), list.end(), peer);
-    if (it != list.end() && *it == peer) {
-      list.erase(it);
-      rarity_.remove_holder(segment);
-    }
+    if (it != list.end() && *it == peer) list.erase(it);
   });
 }
 

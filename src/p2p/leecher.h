@@ -28,7 +28,6 @@
 #include "core/pool_policy.h"
 #include "core/segment.h"
 #include "p2p/peer.h"
-#include "p2p/rarity.h"
 #include "sim/coalescer.h"
 #include "sim/simulator.h"
 #include "streaming/player.h"
@@ -72,10 +71,6 @@ struct LeecherConfig {
   /// figures keep the BitTorrent-style default; raising it densifies the
   /// control mesh (every HAVE broadcast reaches more neighbours).
   std::size_t announce_max_peers = 50;
-  /// When > 0, prefer the least-replicated needed segment within this
-  /// many segments of the playback frontier instead of fetching strictly
-  /// sequentially. 0 keeps the paper's sequential order (all figures).
-  std::size_t rarest_window = 0;
   /// Retained pre-optimization scheduling path: linear scans over every
   /// segment and every known peer instead of the incremental structures.
   /// The differential tests and the scaling benchmark run it as the
@@ -156,7 +151,7 @@ class Leecher final : public Peer {
   }
 
   /// Bytes held by the scheduling structures: dense availability slots,
-  /// holder lists, rarity buckets, in-flight bookkeeping, and control
+  /// holder lists, in-flight bookkeeping, and control
   /// connections (capacity-based; see obs/resource.h).
   [[nodiscard]] std::uint64_t scheduler_memory_bytes() const;
 
@@ -288,8 +283,6 @@ class Leecher final : public Peer {
   /// Valid once the playlist is parsed (rebuilt in on_metadata from any
   /// bitfields that arrived earlier).
   std::vector<std::vector<net::NodeId>> holders_;
-  /// Per-segment known-holder counts bucketed by rarity.
-  RarityBuckets rarity_;
   /// Segments with a download in flight (mirror of downloads_ keys), so
   /// the next-segment scan is a word scan over have_ | in_flight_.
   Bitfield in_flight_;
@@ -307,7 +300,7 @@ class Leecher final : public Peer {
   std::map<std::size_t, Download> downloads_;
   std::unique_ptr<sim::PeriodicTask> tick_;
 
-  /// Last pool target reported on the trace bus (-1 = none yet); pool
+  /// Last pool target recorded as a kPool instant (-1 = none yet); pool
   /// changes are only interesting as transitions, so equal values are
   /// suppressed.
   int last_pool_emitted_ = -1;

@@ -8,7 +8,7 @@
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace vsplice::p2p {
 
@@ -320,8 +320,8 @@ void Swarm::broadcast_peer_left(net::NodeId who) {
   }
   if (who.value < online_.size()) online_[who.value] = 0;
   VSPLICE_INFO("swarm") << who.to_string() << " left the swarm";
-  obs::emit(simulator().now(),
-            obs::PeerLeft{static_cast<std::int64_t>(who.value)});
+  obs::instant_span(obs::SpanKind::kLeave, simulator().now(), 0,
+                    static_cast<std::int64_t>(who.value), -1);
   obs::count("p2p.peers_left");
   for (auto& peer : peers_) {
     if (peer->node() != who && peer->online()) peer->on_peer_left(who);

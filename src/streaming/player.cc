@@ -4,7 +4,6 @@
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace vsplice::streaming {
 
@@ -41,10 +40,6 @@ void Player::on_segment_downloaded(std::size_t segment,
     }
     fetch_spans_[segment] = fetch_span;
   }
-  if (obs::tracing()) {
-    obs::emit(sim_.now(), obs::BufferLevel{config_.trace_id,
-                                           buffer_.buffered_ahead(playhead())});
-  }
   obs::set_gauge("player.buffer_level_s",
                  buffer_.buffered_ahead(playhead()).as_seconds());
   switch (state_) {
@@ -65,10 +60,8 @@ void Player::on_segment_downloaded(std::size_t segment,
         anchor_time_ = sim_.now();
         anchor_media_ = metrics_.stalls.back().playhead;
         state_ = State::Playing;
-        obs::emit(sim_.now(),
-                  obs::StallEnd{config_.trace_id,
-                                metrics_.stalls.back().playhead, stalled,
-                                stall_segment_});
+        obs::close_span(stall_span_, sim_.now());
+        stall_span_ = 0;
         obs::observe("player.stall_duration_s", stalled.as_seconds());
         schedule_exhaustion();
         if (on_resume) on_resume();
@@ -85,8 +78,9 @@ void Player::maybe_start_playback() {
   if (buffer_.frontier() < need) return;
   metrics_.started = true;
   metrics_.startup_time = sim_.now() - session_start_;
-  obs::emit(sim_.now(),
-            obs::PlaybackStarted{config_.trace_id, metrics_.startup_time});
+  playback_span_ = obs::open_span(obs::SpanKind::kPlayback, sim_.now(), 0,
+                                  config_.trace_id, -1,
+                                  metrics_.startup_time.count_micros());
   obs::observe("player.startup_s", metrics_.startup_time.as_seconds());
   begin_playing();
   if (on_started) on_started();
@@ -155,8 +149,10 @@ void Player::handle_exhaustion() {
   stall.playhead = buffer_.frontier_time();
   metrics_.stalls.push_back(stall);
   ++metrics_.stall_count;
-  obs::emit(sim_.now(), obs::StallBegin{config_.trace_id, stall.playhead,
-                                        stall_segment_});
+  stall_span_ = obs::open_span(obs::SpanKind::kStall, sim_.now(), 0,
+                               config_.trace_id,
+                               static_cast<std::int64_t>(stall_segment_),
+                               stall.playhead.count_micros());
   obs::count("player.stalls");
   VSPLICE_DEBUG("player") << "stall #" << metrics_.stall_count << " at media "
                           << stall.playhead.to_string();
@@ -192,8 +188,7 @@ void Player::finish() {
   state_ = State::Finished;
   metrics_.finished = true;
   metrics_.completion_time = sim_.now() - session_start_;
-  obs::emit(sim_.now(), obs::PlaybackFinished{config_.trace_id,
-                                              metrics_.completion_time});
+  obs::close_span(playback_span_, sim_.now());
   obs::count("player.finished");
   if (on_finished) on_finished();
 }

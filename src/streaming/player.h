@@ -25,8 +25,8 @@ struct PlayerConfig {
   /// Contiguous segments required before the first frame renders
   /// (HLS players typically render after one full segment).
   std::size_t startup_segments = 1;
-  /// Identity stamped on this player's trace events (the owning
-  /// leecher's node id); -1 for anonymous/unit-test players.
+  /// Identity stamped on this player's spans (the owning leecher's node
+  /// id); -1 for anonymous/unit-test players.
   std::int64_t trace_id = -1;
 };
 
@@ -116,6 +116,10 @@ class Player {
   TimePoint stall_started_ = TimePoint::origin();
   /// Frontier segment whose absence caused the current stall.
   std::size_t stall_segment_ = 0;
+  /// Open kStall span of the current stall and the kPlayback span of the
+  /// session (0 = none, or the record is off).
+  std::uint64_t stall_span_ = 0;
+  std::uint64_t playback_span_ = 0;
   sim::EventId exhaustion_event_ = sim::kInvalidEventId;
 
   /// Next segment index the playhead has not yet fully consumed (only

@@ -18,7 +18,6 @@
 #include "obs/resource.h"
 #include "obs/sampler.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 
 namespace vsplice::obs {
 namespace {
@@ -230,24 +229,6 @@ TEST(MemoryBreakdown, MergeIsUnionWithSums) {
 }
 
 // ------------------------------------------------- NaN/Inf -> null rule
-
-TEST(NanSerialization, TraceFieldsEmitNull) {
-  // PoolSizeChanged carries the only double payload field; a NaN or Inf
-  // bandwidth must serialize as null, never "nan"/"inf" (invalid JSON).
-  Event event;
-  event.time = TimePoint::origin();
-  event.seq = 1;
-  PoolSizeChanged payload;
-  payload.node = 3;
-  payload.bandwidth_bps = std::numeric_limits<double>::quiet_NaN();
-  event.payload = payload;
-  std::string line = to_jsonl(event);
-  EXPECT_NE(line.find("\"bandwidth_bps\":null"), std::string::npos) << line;
-  payload.bandwidth_bps = std::numeric_limits<double>::infinity();
-  event.payload = payload;
-  line = to_jsonl(event);
-  EXPECT_NE(line.find("\"bandwidth_bps\":null"), std::string::npos) << line;
-}
 
 TEST(NanSerialization, SnapshotJsonEmitsNull) {
   // A series fed a non-finite value must render as null in the JSON

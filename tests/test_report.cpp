@@ -1,12 +1,13 @@
 // Swarm-health sampling, anomaly scanning, and run-report tests:
 // time-series downsampling, sampler rate derivation and naming, the five
-// anomaly kinds (with exact threshold-boundary pins), stall attribution,
-// snapshot byte-determinism, and the
+// anomaly kinds (with exact threshold-boundary pins), the anomalies
+// joined to explained stalls, snapshot byte-determinism, and the
 // self-containment of the HTML report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "obs/exporters.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
+#include "obs/span.h"
 #include "obs/timeseries.h"
 
 namespace vsplice {
@@ -25,11 +27,28 @@ namespace {
 using obs::Anomaly;
 using obs::Sample;
 using obs::Series;
+using obs::Span;
+using obs::SpanKind;
 using obs::SwarmObservation;
 using obs::SwarmSampler;
 using obs::TimeSeriesStore;
 
 TimePoint at_s(double seconds) { return TimePoint::from_seconds(seconds); }
+
+/// A stall span of `node` on `segment` from `start`, resolved at `end`
+/// or, without one, left open (a stall that never resumed).
+Span stall_span(std::uint64_t id, std::int64_t node, std::int64_t segment,
+                TimePoint start, std::optional<TimePoint> end = {}) {
+  Span span;
+  span.id = id;
+  span.kind = SpanKind::kStall;
+  span.node = node;
+  span.segment = segment;
+  span.t_start = start;
+  span.t_end = end.value_or(start);
+  span.flags = end ? 0u : obs::kSpanOpen;
+  return span;
+}
 
 // ------------------------------------------------------------ time series
 
@@ -238,33 +257,19 @@ TEST(AnomalyScan, EmitsOneBufferDrainPerStallWithDrainOnset) {
   buffer.append(at_s(2), 3.0);
   buffer.append(at_s(3), 0.0);
 
-  std::vector<obs::Event> events;
-  obs::Event begin;
-  begin.time = at_s(3);
-  begin.seq = 1;
-  begin.payload = obs::StallBegin{4, Duration::seconds(8.0), 9};
-  events.push_back(begin);
-  obs::Event end;
-  end.time = at_s(5);
-  end.seq = 2;
-  end.payload = obs::StallEnd{4, Duration::seconds(8.0),
-                              Duration::seconds(2.0), 9};
-  events.push_back(end);
+  const std::vector<Span> spans{stall_span(1, 4, 9, at_s(3), at_s(5))};
 
-  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, events);
+  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, spans);
   ASSERT_EQ(anomalies.size(), 1u);
   EXPECT_EQ(anomalies[0].kind, "buffer_drain");
   EXPECT_EQ(anomalies[0].node, 4);
   EXPECT_EQ(anomalies[0].segment, 9);
   EXPECT_EQ(anomalies[0].onset, at_s(1));  // the pre-stall local max
-  EXPECT_EQ(anomalies[0].end, at_s(5));    // the matching StallEnd
+  EXPECT_EQ(anomalies[0].end, at_s(5));    // where the stall resolved
 }
 
 TEST(AnomalyScan, AttributesEveryStallToSomeAnomaly) {
-  std::vector<obs::StallExplanation> stalls(1);
-  stalls[0].node = 4;
-  stalls[0].start = at_s(3);
-  stalls[0].end = at_s(5);
+  const std::vector<Span> spans{stall_span(1, 4, 9, at_s(3), at_s(5))};
 
   std::vector<Anomaly> anomalies(2);
   anomalies[0].kind = "buffer_drain";
@@ -276,10 +281,10 @@ TEST(AnomalyScan, AttributesEveryStallToSomeAnomaly) {
   anomalies[1].onset = at_s(3);
   anomalies[1].end = at_s(4);
 
-  const auto attributions = obs::attribute_stalls(stalls, anomalies);
-  ASSERT_EQ(attributions.size(), 1u);
-  ASSERT_EQ(attributions[0].anomalies.size(), 1u);
-  EXPECT_EQ(attributions[0].anomalies[0], 0u);
+  const auto stalls = obs::explain_stalls(spans, anomalies);
+  ASSERT_EQ(stalls.size(), 1u);
+  ASSERT_EQ(stalls[0].anomalies.size(), 1u);
+  EXPECT_EQ(stalls[0].anomalies[0], 0u);
 }
 
 // ------------------------------------------- anomaly threshold boundaries
@@ -305,29 +310,19 @@ TEST(AnomalyBoundary, BufferDrainWithoutBufferSeriesUsesStallTime) {
   // buffer_drain is emitted per stall even with no sampled buffer; the
   // onset then falls back to the stall time itself.
   TimeSeriesStore store;
-  std::vector<obs::Event> events;
-  obs::Event begin;
-  begin.time = at_s(7);
-  begin.seq = 1;
-  begin.payload = obs::StallBegin{2, Duration::seconds(4.0), 6};
-  events.push_back(begin);
-  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, events);
+  const std::vector<Span> spans{stall_span(1, 2, 6, at_s(7))};
+  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, spans);
   ASSERT_EQ(anomalies.size(), 1u);
   EXPECT_EQ(anomalies[0].kind, "buffer_drain");
   EXPECT_EQ(anomalies[0].onset, at_s(7));
-  EXPECT_EQ(anomalies[0].end, at_s(7));  // no StallEnd: zero-length
+  EXPECT_EQ(anomalies[0].end, at_s(7));  // never resumed: zero-length
 }
 
 TEST(AnomalyBoundary, BufferDrainSingleSampleSeries) {
   TimeSeriesStore store;
   store.series("peer.2.buffer_s").append(at_s(5), 3.0);
-  std::vector<obs::Event> events;
-  obs::Event begin;
-  begin.time = at_s(6);
-  begin.seq = 1;
-  begin.payload = obs::StallBegin{2, Duration::seconds(4.0), 6};
-  events.push_back(begin);
-  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, events);
+  const std::vector<Span> spans{stall_span(1, 2, 6, at_s(6))};
+  const std::vector<Anomaly> anomalies = obs::scan_anomalies(store, spans);
   ASSERT_EQ(anomalies.size(), 1u);
   EXPECT_EQ(anomalies[0].onset, at_s(5));  // the lone pre-stall sample
 }
@@ -552,12 +547,11 @@ TEST(Report, EveryStallAttributedAndHtmlSelfContained) {
 
 TEST(Report, BuildReportAttributesEveryStall) {
   obs::ObsOptions options;
-  options.collect_events = true;
-  options.capture_logs = false;
+  options.spans = true;
   obs::Observability observability{options};
 
   // No outputs requested, so run_scenario nests no Observability of its
-  // own and every event lands in ours.
+  // own and every span lands in ours.
   experiments::ScenarioConfig config = small_scenario();
   config.bandwidth = Rate::kilobytes_per_second(96);
   config.splicer = "gop";
@@ -565,18 +559,16 @@ TEST(Report, BuildReportAttributesEveryStall) {
   // Even with an empty store (no sampled series) attribution holds,
   // because scan_anomalies emits one buffer_drain per recorded stall.
   obs::TimeSeriesStore store;
-  const auto stalls = obs::explain_stalls(observability.events());
-  const auto anomalies = obs::scan_anomalies(store, observability.events());
-  const auto attributions = obs::attribute_stalls(stalls, anomalies);
+  const auto anomalies = obs::scan_anomalies(store, observability.spans());
+  const auto stalls = obs::explain_stalls(observability.spans(), anomalies);
   ASSERT_FALSE(stalls.empty()) << "scenario was meant to stall";
-  ASSERT_EQ(attributions.size(), stalls.size());
-  for (const auto& attribution : attributions) {
-    EXPECT_FALSE(attribution.anomalies.empty())
-        << "unattributed stall on node " << attribution.stall.node;
+  for (const auto& stall : stalls) {
+    EXPECT_FALSE(stall.anomalies.empty())
+        << "unattributed stall on node " << stall.node;
   }
 }
 
-// ------------------------------------------------- JSONL trace hardening
+// ------------------------------------------------------- JSON hardening
 
 TEST(JsonlRoundTrip, AdversarialStringsSurviveExactly) {
   const std::vector<std::string> nasty{
@@ -588,21 +580,17 @@ TEST(JsonlRoundTrip, AdversarialStringsSurviveExactly) {
       std::string{"\x7f del and \xff\xfe invalid utf8"},
   };
   for (const std::string& text : nasty) {
-    obs::Event event;
-    event.time = at_s(1.5);
-    event.seq = 7;
-    event.payload = obs::LogMessage{2, "component", text};
-    const std::string line = obs::to_jsonl(event);
+    const std::string line = "{\"text\":" + obs::json_escape(text) + "}";
     for (const char c : line) {
       EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 &&
                   static_cast<unsigned char>(c) < 0x7f)
-          << "non-ASCII byte in JSONL output";
+          << "non-ASCII byte in JSON output";
     }
-    const auto parsed = obs::parse_jsonl_line(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    EXPECT_EQ(parsed->kind, "log");
-    ASSERT_TRUE(parsed->fields.count("text"));
-    EXPECT_EQ(parsed->fields.at("text"), text) << line;
+    obs::JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json(line, parsed, error)) << line << ": " << error;
+    ASSERT_NE(parsed.find("text"), nullptr);
+    EXPECT_EQ(parsed.find("text")->string, text) << line;
   }
 }
 
