@@ -12,10 +12,6 @@
 //   --report OUT.html         self-contained HTML run report
 //   --snapshot OUT.json       deterministic JSON snapshot
 //   --sample-interval SECONDS swarm sampling cadence (default 1 s)
-//   --control-epoch SECONDS   epoch-batched control plane on the
-//                             representative run (0 = per-segment HAVE
-//                             broadcast, the byte-identical default;
-//                             see DESIGN.md §15)
 //   --profile                 hot-path profiler on the representative
 //                             run; its phase tree prints after the
 //                             sweep (VSPLICE_PROFILE=1 profiles every
@@ -44,7 +40,6 @@ struct BenchOptions {
   std::string report_html;
   std::string snapshot_json;
   double sample_interval_s = 0.0;  // 0 = scenario default (1 s)
-  double control_epoch_s = 0.0;    // 0 = unbatched control plane
   int jobs = 1;                    // sweep worker threads; 0 = auto
   bool profile = false;            // profiler on the representative run
   bool parsed = true;              // false after a usage error
@@ -60,7 +55,7 @@ inline void print_bench_usage(const char* prog) {
                "usage: %s [--jobs N] [--trace BASE] "
                "[--report OUT.html] [--snapshot OUT.json]\n"
                "          [--trace-chrome OUT.json] "
-               "[--sample-interval SECONDS] [--control-epoch SECONDS] "
+               "[--sample-interval SECONDS] [--profile] "
                "[--log-level LEVEL]\n"
                "  --jobs N          run sweep cells on N threads (N >= 1, "
                "or \"auto\" for one per hardware thread)\n",
@@ -96,14 +91,6 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
       opts.report_html = argv[++i];
     } else if (arg == "--snapshot" && i + 1 < argc) {
       opts.snapshot_json = argv[++i];
-    } else if (arg == "--control-epoch" && i + 1 < argc) {
-      const auto parsed = parse_double(argv[++i]);
-      if (!parsed || *parsed < 0.0) {
-        std::fprintf(stderr, "bad --control-epoch: %s\n", argv[i]);
-        opts.parsed = false;
-        return opts;
-      }
-      opts.control_epoch_s = *parsed;
     } else if (arg == "--sample-interval" && i + 1 < argc) {
       const auto parsed = parse_double(argv[++i]);
       if (!parsed || *parsed <= 0.0) {
@@ -158,9 +145,6 @@ inline void write_representative_report(experiments::ScenarioConfig config,
   config.profile = opts.profile;
   if (opts.sample_interval_s > 0.0) {
     config.sample_interval = Duration::seconds(opts.sample_interval_s);
-  }
-  if (opts.control_epoch_s > 0.0) {
-    config.control_epoch = Duration::seconds(opts.control_epoch_s);
   }
   const experiments::ScenarioResult result =
       experiments::run_scenario(config);

@@ -18,18 +18,15 @@
 // paper configuration is also run both ways and checked for identical
 // results (same stalls, same startup, same decisions), the guardrail
 // that the optimization did not change the science.
-// Past the sweep, two epoch-batched-control-plane sections (DESIGN.md
-// §15): a join-wave frontier — 50,000 peers (full mode also 10k/20k)
-// at a fixed service-bounded arrival rate over a 75-simulated-second
-// slice, the scale at which per-peer registry/SoA costs and the
-// coalescing counters are recorded — and a 200-peer batched-vs-
-// unbatched comparison that must coalesce for real, keep the exact
-// bytes-saved arithmetic, and leave the media plane identical.
+// Past the sweep, a join-wave frontier (DESIGN.md §15): 50,000 and
+// 100,000 peers (full mode also 10k/20k) at a fixed service-bounded
+// arrival rate over a 75-simulated-second slice, the scale at which
+// per-peer registry/SoA costs and scoped reallocation are recorded.
 //
 //   ./bench_scale            full sweep  {20,100,500,1000,2000} x {gop,4s}
-//                            + frontier {10000,20000,50000}
+//                            + frontier {10000,20000,50000,100000}
 //   ./bench_scale --quick    CI sweep    {20,100,500} x {4s}
-//                            + frontier {50000}
+//                            + frontier {50000,100000}
 //
 // Writes BENCH_scale.json; exit code 1 when any check fails.
 #include <chrono>
@@ -194,17 +191,16 @@ int run_bench(bool quick) {
                   text);
   }
 
-  // --- Join-wave frontier (DESIGN.md §15): tens of thousands of peers
-  // under the epoch-batched control plane. The binding constraint at
-  // this scale used to be Network::reallocate — a join wave piles
-  // metadata fetches onto the seeder's uplink, and before scoped
-  // reallocation (DESIGN.md §16) every flow start/finish rescanned all
-  // concurrent flows. The arrival rate is pinned just below the
-  // seeder's metadata service rate (~125 joins/s at 256 kB/s) by
-  // scaling join_spread with the swarm, and the point measures a fixed
-  // 75-simulated-second slice of the wave: the cost of *hosting* n
-  // registered peers (tracker, registry, SoA arrays, digest buffers)
-  // at a production-shaped constant arrival rate.
+  // --- Join-wave frontier (DESIGN.md §15): tens of thousands of
+  // peers. The binding constraint at this scale used to be
+  // Network::reallocate — a join wave piles metadata fetches onto the
+  // seeder's uplink, and before scoped reallocation (DESIGN.md §16)
+  // every flow start/finish rescanned all concurrent flows. The
+  // arrival rate is pinned just below the seeder's metadata service
+  // rate (~125 joins/s at 256 kB/s) by scaling join_spread with the
+  // swarm, and the point measures a fixed 75-simulated-second slice of
+  // the wave: the cost of *hosting* n registered peers (tracker,
+  // registry, SoA arrays) at a production-shaped constant arrival rate.
   {
     // The 100k point rides in the quick slice too: it only became
     // affordable once reallocation went scoped (the full-rescan wave
@@ -214,7 +210,6 @@ int run_bench(bool quick) {
         quick ? std::vector<std::size_t>{50000, 100000}
               : std::vector<std::size_t>{10000, 20000, 50000, 100000};
     bool streams = true;
-    bool control_ok = true;
     bool memory_ok = true;
     bool scoped_ok = true;
     for (const std::size_t nodes : frontier_sizes) {
@@ -225,7 +220,6 @@ int run_bench(bool quick) {
       // 75 s leaves the early wave comfortably started.
       config.time_limit = Duration::seconds(75.0);
       config.announce_max_peers = 20;
-      config.control_epoch = Duration::seconds(1.0);
       std::printf("  %5zu peers, join-wave frontier running...\n", nodes);
       const RunPoint point = run_point(config);
       const experiments::ScenarioResult& r = point.result;
@@ -235,13 +229,12 @@ int run_bench(bool quick) {
       }
       std::printf(
           "  %5zu peers, 4s : %6.2f wall-s, %zu started, %9llu "
-          "decisions, %llu digests (%.3f coalescing ratio), %5.1f "
-          "kB/peer\n",
+          "decisions, %llu HAVEs, %5.1f kB/peer\n",
           nodes, point.wall_s, started,
           static_cast<unsigned long long>(r.segment_picks +
                                           r.holder_picks),
-          static_cast<unsigned long long>(r.control_digests_sent),
-          r.control_coalescing_ratio, r.memory_bytes_per_peer / 1e3);
+          static_cast<unsigned long long>(r.control_have_updates),
+          r.memory_bytes_per_peer / 1e3);
       const std::string prefix = "frontier.n" + std::to_string(nodes);
       const auto fkey = [&prefix](const char* metric) {
         return prefix + "." + metric;
@@ -260,14 +253,6 @@ int run_bench(bool quick) {
                         static_cast<double>(r.memory_total_bytes));
       results.add_value(fkey("control_have_updates"),
                         static_cast<double>(r.control_have_updates));
-      results.add_value(fkey("control_digests_sent"),
-                        static_cast<double>(r.control_digests_sent));
-      results.add_value(fkey("control_messages_coalesced"),
-                        static_cast<double>(r.control_messages_coalesced));
-      results.add_value(fkey("control_coalescing_ratio"),
-                        r.control_coalescing_ratio);
-      results.add_value(fkey("control_bytes_saved"),
-                        static_cast<double>(r.control_bytes_saved));
       results.add_value(fkey("realloc_touched_ratio"),
                         r.reallocate_touched_flows_ratio);
       results.add_value(fkey("heap_compactions"),
@@ -281,13 +266,6 @@ int run_bench(bool quick) {
       scoped_ok = scoped_ok && r.reallocations_scoped > 0 &&
                   r.reallocate_touched_flows_ratio > 0 &&
                   r.reallocate_touched_flows_ratio < 1.0;
-      // The slice is sparse on purpose (the wave front is still
-      // ramping), so coalescing may legitimately round to zero here —
-      // the 200-peer section below gates coalescing > 0 — but digests
-      // must flow and the exact arithmetic must hold.
-      control_ok = control_ok && r.control_digests_sent > 0 &&
-                   r.control_bytes_saved ==
-                       5 * r.control_messages_coalesced;
       // Registry + SoA arrays must stay small per registered peer even
       // when most of the swarm has not joined yet; a quadratic
       // node-indexed structure would blow far past this cap.
@@ -297,75 +275,11 @@ int run_bench(bool quick) {
     results.check("frontier_streams", streams,
                   "every join-wave frontier point makes scheduling "
                   "decisions and starts viewers");
-    results.check("frontier_control_plane", control_ok,
-                  "frontier points send HAVE digests with bytes_saved "
-                  "== 5 x messages_coalesced exactly");
     results.check("frontier_memory_bounded", memory_ok,
                   "frontier points stay <= 48 kB per registered peer");
     results.check("frontier_scoped_realloc", scoped_ok,
                   "frontier points keep reallocate_touched_flows_ratio "
                   "strictly below 1 (no full-rescan collapse)");
-  }
-
-  // --- Batched-vs-unbatched control plane at 200 peers, 1024 kB/s:
-  // dense enough that per-peer segment completions cluster inside a
-  // one-second epoch, so the digests genuinely coalesce (measured
-  // ~0.28 coalescing ratio). Batching must not touch the media plane:
-  // every viewer still finishes and streams the identical bytes.
-  {
-    experiments::ScenarioConfig config = scale_config(200, "4s");
-    config.bandwidth = Rate::kilobytes_per_second(1024);
-    const RunPoint unbatched = run_point(config);
-    config.control_epoch = Duration::seconds(1.0);
-    const RunPoint batched = run_point(config);
-    const experiments::ScenarioResult& u = unbatched.result;
-    const experiments::ScenarioResult& b = batched.result;
-    std::printf(
-        "   200 peers, control plane: unbatched %.2f s / %llu HAVEs, "
-        "batched %.2f s / %llu digests, %.3f coalescing ratio, %llu "
-        "bytes saved\n",
-        unbatched.wall_s, static_cast<unsigned long long>(u.control_have_updates),
-        batched.wall_s, static_cast<unsigned long long>(b.control_digests_sent),
-        b.control_coalescing_ratio,
-        static_cast<unsigned long long>(b.control_bytes_saved));
-    results.add_value("control.n200.unbatched_wall_s", unbatched.wall_s);
-    results.add_value("control.n200.batched_wall_s", batched.wall_s);
-    results.add_value("control.n200.have_updates",
-                      static_cast<double>(b.control_have_updates));
-    results.add_value("control.n200.digests_sent",
-                      static_cast<double>(b.control_digests_sent));
-    results.add_value("control.n200.messages_coalesced",
-                      static_cast<double>(b.control_messages_coalesced));
-    results.add_value("control.n200.coalescing_ratio",
-                      b.control_coalescing_ratio);
-    results.add_value("control.n200.bytes_saved",
-                      static_cast<double>(b.control_bytes_saved));
-    results.check("control_default_unbatched",
-                  u.control_digests_sent == 0 &&
-                      u.control_messages_coalesced == 0 &&
-                      u.control_bytes_saved == 0,
-                  "epoch 0 (the default) sends no digests and saves "
-                  "no bytes — the per-message engine");
-    results.check("control_plane_coalesces",
-                  b.control_digests_sent > 0 &&
-                      b.control_messages_coalesced > 0 &&
-                      b.control_coalescing_ratio > 0.0 &&
-                      b.control_coalescing_ratio < 1.0,
-                  "a 1 s epoch at 200 peers / 1024 kB/s coalesces "
-                  "HAVEs into digests");
-    results.check("control_bytes_exact",
-                  b.control_bytes_saved ==
-                      5 * b.control_messages_coalesced,
-                  "bytes saved == 5 x messages coalesced, exactly "
-                  "(a k-segment digest is 5 + 4k bytes vs k nine-byte "
-                  "HAVEs)");
-    results.check("control_media_identical",
-                  u.finished_viewers == u.viewer_count &&
-                      b.finished_viewers == b.viewer_count &&
-                      u.segment_count == b.segment_count &&
-                      u.media_bytes == b.media_bytes,
-                  "batching is control-plane only: every viewer "
-                  "finishes the identical spliced video in both modes");
   }
 
   // --- Paper-fidelity guardrail: at 20 peers the oracle and the

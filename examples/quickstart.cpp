@@ -21,10 +21,6 @@
 //   --report OUT.html     self-contained HTML swarm-health report
 //   --snapshot OUT.json   deterministic JSON time-series snapshot
 //   --sample-interval S   swarm sampling cadence in seconds (default 1)
-//   --control-epoch S     epoch-batched control plane: coalesce HAVE
-//                         announcements into one digest per neighbour
-//                         every S seconds (0 = per-segment broadcast,
-//                         the byte-identical default; DESIGN.md §15)
 //   --profile             install the hot-path profiler and print the
 //                         phase tree after the run (also honoured via
 //                         VSPLICE_PROFILE=1); figures are unaffected
@@ -61,7 +57,6 @@ int main(int argc, char** argv) {
   std::string report_html_path;
   std::string snapshot_json_path;
   double sample_interval_s = 0;
-  double control_epoch_s = 0;
   bool timeline = false;
   bool profile = false;
   bool spans = false;
@@ -87,13 +82,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       sample_interval_s = *parsed;
-    } else if (arg == "--control-epoch" && i + 1 < argc) {
-      const auto parsed = parse_double(argv[++i]);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --control-epoch: %s\n", argv[i]);
-        return 2;
-      }
-      control_epoch_s = *parsed;
     } else if (arg == "--log-level" && i + 1 < argc) {
       LogLevel level{};
       if (!parse_log_level(argv[++i], level)) {
@@ -198,9 +186,6 @@ int main(int argc, char** argv) {
   config.snapshot_json_path = snapshot_json_path;
   if (sample_interval_s > 0) {
     config.sample_interval = Duration::seconds(sample_interval_s);
-  }
-  if (control_epoch_s > 0) {
-    config.control_epoch = Duration::seconds(control_epoch_s);
   }
   config.profile = profile;
   std::printf("\nstreaming through a %zu-node swarm at %.0f kB/s "

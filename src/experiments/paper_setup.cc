@@ -81,8 +81,6 @@ std::vector<std::pair<std::string, std::string>> report_params(
   params.emplace_back("bandwidth",
                       fmt("%.0f kB/s", config.bandwidth.kilobytes_per_second()));
   params.emplace_back("churn", config.churn ? "on" : "off");
-  params.emplace_back("control_epoch_s",
-                      fmt("%g", config.control_epoch.as_seconds()));
   params.emplace_back("join_spread_s",
                       fmt("%g", config.join_spread.as_seconds()));
   params.emplace_back("nodes", std::to_string(config.nodes));
@@ -197,7 +195,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     leecher_config.bandwidth_hint = config.bandwidth;
     leecher_config.brute_force_scheduling = config.brute_force_scheduling;
     leecher_config.announce_max_peers = config.announce_max_peers;
-    leecher_config.control_epoch = config.control_epoch;
     p2p::Leecher& leecher =
         swarm.add_leecher(node, peer_config, leecher_config);
     leechers.push_back(&leecher);
@@ -296,17 +293,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.holder_picks += sched.holder_picks;
     result.candidates_scanned += sched.candidates_scanned;
     result.scheduling_engine_ns += sched.engine_ns;
-    const p2p::ControlPlaneStats& control = leecher->control_stats();
-    result.control_have_updates += control.have_updates;
-    result.control_digests_sent += control.digests_sent;
-    result.control_messages_coalesced += control.messages_coalesced;
-    result.control_bytes_saved += control.bytes_saved;
+    result.control_have_updates += leecher->control_stats().have_updates;
   }
-  result.control_coalescing_ratio =
-      result.control_have_updates > 0
-          ? static_cast<double>(result.control_messages_coalesced) /
-                static_cast<double>(result.control_have_updates)
-          : 0.0;
   result.pieces_aborted = swarm.stats().pieces_aborted;
   result.messages_routed = swarm.stats().messages_routed;
   result.messages_dropped = swarm.stats().messages_dropped;

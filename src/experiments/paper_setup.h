@@ -78,15 +78,6 @@ struct ScenarioConfig {
   /// byte-identical to the fast path, only slower; the differential
   /// test pins that. Also enabled by VSPLICE_WIRE_ROUNDTRIP=1.
   bool wire_roundtrip = false;
-  /// LeecherConfig::control_epoch passthrough (DESIGN.md §15). Zero —
-  /// the default, used by every figure — keeps the per-segment HAVE
-  /// broadcast and is byte-identical to the pre-batching code. Positive
-  /// values coalesce each peer's completed segments into one
-  /// HaveBatchMsg digest per control connection per epoch; results are
-  /// then statistically identical to unbatched (the control-plane
-  /// differential test documents the tolerance), not bit-identical,
-  /// because HAVE arrival times shift by up to one epoch.
-  Duration control_epoch = Duration::zero();
 
   /// Must be 1: every run has one serial event loop (run_scenario
   /// rejects any other value). The field survives only because the
@@ -197,18 +188,9 @@ struct ScenarioResult {
   /// excluded from the identity comparisons, reported by bench_scale.
   std::uint64_t scheduling_engine_ns = 0;
 
-  /// Control-plane accounting summed over all viewers (DESIGN.md §15).
-  /// `control_have_updates` counts (segment, recipient) availability
-  /// notifications delivered either way; with batching on,
-  /// `control_messages_coalesced` is how many individual HAVE wire
-  /// messages (and simulator events) the digests replaced and
-  /// `control_bytes_saved` the wire bytes avoided. The coalescing ratio
-  /// is coalesced / updates (0 when unbatched, → 1 as epochs fatten).
+  /// HAVE wire messages sent, summed over all viewers: one per
+  /// (completed segment, established control connection).
   std::uint64_t control_have_updates = 0;
-  std::uint64_t control_digests_sent = 0;
-  std::uint64_t control_messages_coalesced = 0;
-  std::uint64_t control_bytes_saved = 0;
-  double control_coalescing_ratio = 0;
 
   /// Event-loop health at end of run (deterministic counters).
   std::uint64_t events_fired = 0;

@@ -44,21 +44,13 @@ Leecher::Leecher(Swarm& swarm, net::NodeId node, PeerConfig peer_config,
                  LeecherConfig config, std::uint64_t seed)
     : Peer{swarm, node, peer_config},
       config_{std::move(config)},
-      rng_{seed},
-      estimator_{config_.bandwidth_hint} {
+      rng_{seed} {
   require(config_.policy != nullptr, "leecher needs a pool policy");
   require(config_.choke_backoff > Duration::zero(),
           "choke backoff must be positive");
   require(config_.request_timeout > Duration::zero(),
           "request timeout must be positive");
   require(config_.tick > Duration::zero(), "tick must be positive");
-  require(config_.control_epoch >= Duration::zero(),
-          "control epoch cannot be negative");
-  if (config_.control_epoch > Duration::zero()) {
-    have_flush_ = std::make_unique<sim::CoalescingFlush>(
-        swarm.simulator(), config_.control_epoch,
-        [this] { flush_pending_haves(); });
-  }
 }
 
 Leecher::~Leecher() {
@@ -103,11 +95,6 @@ const core::SegmentIndex& Leecher::learned_index() const {
   return *index_;
 }
 
-Rate Leecher::current_bandwidth_estimate() const {
-  return config_.estimate_bandwidth ? estimator_.estimate()
-                                    : config_.bandwidth_hint;
-}
-
 Bytes Leecher::in_flight_bytes() const {
   if (!index_) return 0;
   Bytes total = 0;
@@ -136,9 +123,6 @@ std::uint64_t Leecher::scheduler_memory_bytes() const {
       static_cast<std::uint64_t>(holders_.capacity()) *
           sizeof(std::vector<net::NodeId>) +
       in_flight_.memory_bytes() +
-      static_cast<std::uint64_t>(pending_have_.capacity()) *
-          sizeof(std::uint32_t) +
-      (have_flush_ ? sim::CoalescingFlush::memory_bytes() : 0) +
       static_cast<std::uint64_t>(downloads_.size()) *
           (tree_node + sizeof(std::pair<std::size_t, Download>)) +
       static_cast<std::uint64_t>(control_.capacity()) *
@@ -165,7 +149,7 @@ int Leecher::current_pool_target() const {
   // GOP-based splicing the safe W is the multi-second static-scene GOP,
   // which collapses the pool and strands bandwidth — one of the ways
   // content-driven splicing undermines the formula.
-  return config_.policy->pool_size(current_bandwidth_estimate(),
+  return config_.policy->pool_size(config_.bandwidth_hint,
                                    player_->buffered_ahead(),
                                    index_->largest_segment());
 }
@@ -262,14 +246,6 @@ void Leecher::connect_control(net::NodeId peer) {
 }
 
 void Leecher::broadcast_have(std::size_t segment) {
-  if (config_.control_epoch > Duration::zero()) {
-    // Epoch-batched: fold the segment into the pending digest; the
-    // arm-once timer guarantees one flush event per epoch no matter how
-    // many segments complete inside it.
-    pending_have_.push_back(static_cast<std::uint32_t>(segment));
-    have_flush_->arm();
-    return;
-  }
   // Per-message fan-out: one message and one size computation, N
   // deliveries (each recipient still gets its own pool node — the
   // queues own their copies independently).
@@ -284,44 +260,6 @@ void Leecher::broadcast_have(std::size_t segment) {
     }
   }
   if (recipients > 0) obs::count("p2p.control_haves", recipients);
-}
-
-void Leecher::flush_pending_haves() {
-  if (!online_ || pending_have_.empty()) return;
-  // Segments complete exactly once, so the buffer holds no duplicates;
-  // sorting yields the strictly-ascending order the wire format requires.
-  std::sort(pending_have_.begin(), pending_have_.end());
-  const std::uint64_t count = pending_have_.size();
-  const Message digest{HaveBatchMsg{pending_have_}};
-  const Bytes wire_size = static_cast<Bytes>(encoded_size(digest));
-  // What the same updates would have cost as individual HAVE messages.
-  const Bytes have_size =
-      static_cast<Bytes>(encoded_size(Message{HaveMsg{}}));
-  const std::uint64_t haves_before = control_stats_.have_updates;
-  const std::uint64_t coalesced_before = control_stats_.messages_coalesced;
-  const std::uint64_t saved_before = control_stats_.bytes_saved;
-  for (auto& [peer, conn] : control_) {
-    if (!conn->established()) continue;
-    send_sized(*conn, digest, wire_size);
-    ++control_stats_.digests_sent;
-    control_stats_.have_updates += count;
-    control_stats_.messages_coalesced += count - 1;
-    control_stats_.bytes_saved +=
-        count * static_cast<std::uint64_t>(have_size) -
-        static_cast<std::uint64_t>(wire_size);
-  }
-  obs::count("p2p.control_digests");
-  if (control_stats_.have_updates > haves_before) {
-    obs::count("p2p.control_haves",
-               control_stats_.have_updates - haves_before);
-  }
-  if (control_stats_.messages_coalesced > coalesced_before) {
-    obs::count("p2p.control_coalesced",
-               control_stats_.messages_coalesced - coalesced_before);
-    obs::count("p2p.control_bytes_saved",
-               control_stats_.bytes_saved - saved_before);
-  }
-  pending_have_.clear();
 }
 
 // ------------------------------------------------------ protocol handlers
@@ -345,7 +283,9 @@ void Leecher::on_bitfield(net::NodeId from, net::Connection&,
   schedule_downloads();
 }
 
-void Leecher::apply_have_update(net::NodeId from, std::uint32_t segment) {
+void Leecher::on_have(net::NodeId from, const HaveMsg& msg) {
+  if (!index_ || msg.segment >= index_->count()) return;
+  const std::uint32_t segment = msg.segment;
   Bitfield& bf = ensure_known(from);
   const bool had = segment < bf.size() && bf.get(segment);
   bf.set(segment);
@@ -367,23 +307,6 @@ void Leecher::apply_have_update(net::NodeId from, std::uint32_t segment) {
         request_from(download, from);
       }
     }
-  }
-}
-
-void Leecher::on_have(net::NodeId from, const HaveMsg& msg) {
-  if (!index_ || msg.segment >= index_->count()) return;
-  apply_have_update(from, msg.segment);
-  schedule_downloads();
-}
-
-void Leecher::on_have_batch(net::NodeId from, const HaveBatchMsg& msg) {
-  if (!index_) return;
-  // Apply the whole digest — ensure_known runs once, then the updates
-  // sweep the dense availability slot — and reschedule once at the end
-  // instead of per segment (the big receive-side win of batching).
-  for (const std::uint32_t segment : msg.segments) {
-    if (segment >= index_->count()) continue;
-    apply_have_update(from, segment);
   }
   schedule_downloads();
 }
@@ -443,40 +366,19 @@ void Leecher::start_download(std::size_t segment) {
   attempt_download(download);
 }
 
-bool Leecher::holder_has(net::NodeId peer, std::size_t segment) const {
-  const Bitfield* bf = known_have(peer);
-  if (bf == nullptr || segment >= bf->size()) return false;
-  if (!bf->get(segment)) return false;
-  if (config_.brute_force_scheduling) {
-    // The oracle keeps the original peer-object lookup so its measured
-    // cost stays what the pre-optimization code paid.
-    const Peer* remote = swarm_.find(peer);
-    return remote != nullptr && remote->online();
-  }
-  return swarm_.node_online(peer);
-}
-
 std::optional<net::NodeId> Leecher::pick_holder(
     std::size_t segment, const std::set<net::NodeId>& excluded) {
   VSPLICE_PROFILE_SCOPE("p2p.pick_holder");
   const EngineTimer timer{sched_.engine_ns};
   ++sched_.holder_picks;
-  // Sticky preference: the peer that just served us has a free slot.
-  if (last_server_ && !excluded.contains(*last_server_) &&
-      holder_has(*last_server_, segment) &&
-      rng_.bernoulli(config_.sticky_holder_probability)) {
-    return *last_server_;
-  }
   const TimePoint now = swarm_.simulator().now();
   std::vector<net::NodeId> fresh;
   std::vector<net::NodeId> cooling;
   const auto classify = [&](net::NodeId peer) {
     ++sched_.candidates_scanned;
     if (excluded.contains(peer)) return;
-    // Mirrors holder_has with the slot kept in hand: one binary search
-    // serves the availability check AND the choke-cooldown reads, and
-    // the parallel arrays replace the node-keyed map probe. Predicate
-    // results are identical either way, so RNG draws don't move.
+    // One binary search for the slot serves both the availability check
+    // and the choke-cooldown reads.
     const std::uint32_t slot_id = slot_plus_one(peer);
     if (slot_id == 0) return;
     const std::uint32_t slot = slot_id - 1;
@@ -630,7 +532,6 @@ void Leecher::on_choked_for(std::size_t segment, net::NodeId holder) {
     slot_choked_[slot_id - 1] = 1;
     slot_choked_at_[slot_id - 1] = swarm_.simulator().now();
   }
-  if (last_server_ == holder) last_server_.reset();
   const auto it = downloads_.find(segment);
   if (it == downloads_.end()) return;
   Download& download = it->second;
@@ -667,7 +568,6 @@ void Leecher::on_piece_outcome(std::size_t segment, net::NodeId holder,
 void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
                                   Duration elapsed) {
   const auto it = downloads_.find(segment);
-  if (it != downloads_.end()) last_server_ = it->second.holder;
   const TimePoint now = swarm_.simulator().now();
   obs::count("p2p.segments_received");
   obs::observe("p2p.segment_latency_s", elapsed.as_seconds(),
@@ -692,7 +592,6 @@ void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
   }
   cancel_download(segment);
   mark_have(segment);
-  if (config_.estimate_bandwidth) estimator_.record(bytes, elapsed);
   VSPLICE_DEBUG("leecher") << node_.to_string() << ": segment " << segment
                            << " complete (" << format_bytes(bytes) << " in "
                            << elapsed.to_string() << ")";
@@ -823,7 +722,6 @@ void Leecher::drop_holder_bits(net::NodeId peer, const Bitfield& have) {
 
 void Leecher::on_peer_left(net::NodeId who) {
   if (!online_) return;
-  if (last_server_ == who) last_server_.reset();
   forget_peer(who);
   const auto control = std::lower_bound(
       control_.begin(), control_.end(), who,
@@ -850,10 +748,6 @@ void Leecher::leave() {
   if (!online_) return;
   online_ = false;
   if (tick_) tick_->stop();
-  // A churned peer abandons its pending digest: announcing availability
-  // after leaving would advertise a holder that no longer serves.
-  if (have_flush_) have_flush_->cancel();
-  pending_have_.clear();
   std::vector<std::size_t> segments;
   segments.reserve(downloads_.size());
   for (auto& [segment, download] : downloads_) segments.push_back(segment);

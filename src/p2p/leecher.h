@@ -23,12 +23,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/bandwidth_estimator.h"
 #include "core/playlist.h"
 #include "core/pool_policy.h"
 #include "core/segment.h"
 #include "p2p/peer.h"
-#include "sim/coalescer.h"
 #include "sim/simulator.h"
 #include "streaming/player.h"
 
@@ -38,10 +36,8 @@ struct LeecherConfig {
   /// Downloading policy (Eq. 1 or a fixed pool). Required.
   std::shared_ptr<const core::PoolPolicy> policy;
   /// The bandwidth B the policy sees. The paper simulates B on GENI (the
-  /// links are shaped, so B is known); set estimate_bandwidth to learn it
-  /// from transfers instead.
+  /// links are shaped, so B is known).
   Rate bandwidth_hint = Rate::kilobytes_per_second(128);
-  bool estimate_bandwidth = false;
   /// Player startup rule.
   streaming::PlayerConfig player;
   /// Wait before retrying when every holder of a segment choked us.
@@ -52,10 +48,6 @@ struct LeecherConfig {
   /// on (request not yet granted), probability of switching to it —
   /// spreads load off the seeder as content propagates.
   double rebalance_probability = 0.5;
-  /// Preference for re-requesting from the holder that just finished
-  /// serving us: its upload slot is demonstrably free, so sticking to it
-  /// avoids the choke-and-retry cost of probing busy holders blindly.
-  double sticky_holder_probability = 0.0;
   /// Give up on an unanswered request after this long and retry another
   /// holder. A request can legitimately sit in a busy peer's queue for a
   /// while, so this is a backstop, not a reaction time (departed peers
@@ -76,13 +68,6 @@ struct LeecherConfig {
   /// The differential tests and the scaling benchmark run it as the
   /// oracle; pair it with Swarm::set_brute_force_oracle.
   bool brute_force_scheduling = false;
-  /// Epoch-batched control plane (DESIGN.md §15). Zero (the default)
-  /// keeps the per-segment HAVE broadcast — every figure byte-identical
-  /// to the unbatched code. When positive, completed segments accumulate
-  /// and are flushed as one HaveBatchMsg digest per control connection
-  /// every `control_epoch` at most, collapsing O(segments × neighbours)
-  /// wire messages and simulator events into O(epochs × neighbours).
-  Duration control_epoch = Duration::zero();
 };
 
 /// Counters for the scheduling hot path; the scaling benchmark reports
@@ -98,17 +83,10 @@ struct SchedulerStats {
   std::uint64_t engine_ns = 0;
 };
 
-/// Control-plane accounting for the epoch-batched HAVE path. One
-/// "update" is one (segment, recipient) availability notification —
-/// what a single HAVE wire message used to carry. Batched mode delivers
-/// the same updates in digests, so `messages_coalesced` counts the wire
-/// messages (and simulator events) that no longer exist and
-/// `bytes_saved` the wire bytes the digests avoided.
+/// Control-plane accounting: one update is one HAVE wire message, a
+/// (segment, recipient) availability notification.
 struct ControlPlaneStats {
-  std::uint64_t have_updates = 0;       // (segment, recipient) pairs sent
-  std::uint64_t digests_sent = 0;       // HaveBatchMsg wire messages
-  std::uint64_t messages_coalesced = 0; // HAVE messages avoided by digests
-  std::uint64_t bytes_saved = 0;        // wire bytes avoided by digests
+  std::uint64_t have_updates = 0;
 };
 
 class Leecher final : public Peer {
@@ -134,8 +112,7 @@ class Leecher final : public Peer {
   /// The segment index reconstructed from the parsed playlist.
   [[nodiscard]] const core::SegmentIndex& learned_index() const;
 
-  /// Current adaptive-pool inputs (for tests and debugging).
-  [[nodiscard]] Rate current_bandwidth_estimate() const;
+  /// Current adaptive-pool target (for tests and debugging).
   [[nodiscard]] int current_pool_target() const;
   [[nodiscard]] std::size_t downloads_in_flight() const {
     return downloads_.size();
@@ -186,8 +163,6 @@ class Leecher final : public Peer {
   void on_metadata(const std::string& playlist_text);
   void connect_control(net::NodeId peer);
   void broadcast_have(std::size_t segment);
-  /// Sends the accumulated HAVE digest (batched mode's epoch flush).
-  void flush_pending_haves();
 
   void schedule_downloads();
   void start_download(std::size_t segment);
@@ -205,8 +180,6 @@ class Leecher final : public Peer {
   [[nodiscard]] std::optional<std::size_t> next_segment_to_fetch();
   [[nodiscard]] std::optional<net::NodeId> pick_holder(
       std::size_t segment, const std::set<net::NodeId>& excluded);
-  [[nodiscard]] bool holder_has(net::NodeId peer,
-                                std::size_t segment) const;
 
   /// Dense availability bookkeeping (see the member comments below).
   /// 1 + the slots_ index of a known peer, 0 when unknown: one binary
@@ -221,15 +194,9 @@ class Leecher final : public Peer {
   void add_holder_bits(net::NodeId peer, const Bitfield& have);
   void drop_holder_bits(net::NodeId peer, const Bitfield& have);
 
-  /// One HAVE update from `from` for `segment`: availability bookkeeping
-  /// plus the in-flight rebalance coin flip. Shared by the per-message
-  /// and batched receive paths; the caller runs schedule_downloads().
-  void apply_have_update(net::NodeId from, std::uint32_t segment);
-
   void on_bitfield(net::NodeId from, net::Connection& conn,
                    const BitfieldMsg& msg) override;
   void on_have(net::NodeId from, const HaveMsg& msg) override;
-  void on_have_batch(net::NodeId from, const HaveBatchMsg& msg) override;
   void on_choke(net::NodeId from, net::Connection& conn) override;
 
   LeecherConfig config_;
@@ -243,7 +210,6 @@ class Leecher final : public Peer {
   std::unique_ptr<net::Connection> seeder_conn_;
   std::unique_ptr<core::SegmentIndex> index_;
   std::unique_ptr<streaming::Player> player_;
-  core::BandwidthEstimator estimator_;
 
   /// Control connections we initiated, sorted ascending by remote peer
   /// (flat map — every HAVE broadcast walks this once per completed
@@ -287,14 +253,6 @@ class Leecher final : public Peer {
   /// the next-segment scan is a word scan over have_ | in_flight_.
   Bitfield in_flight_;
   SchedulerStats sched_;
-  /// Most recent holder to complete a transfer for us (slot known free).
-  std::optional<net::NodeId> last_server_;
-
-  /// Batched control plane: segments completed since the last digest
-  /// flush (unsorted; sorted at flush), and the arm-once epoch timer.
-  /// Unused (and never armed) when control_epoch is zero.
-  std::vector<std::uint32_t> pending_have_;
-  std::unique_ptr<sim::CoalescingFlush> have_flush_;
   ControlPlaneStats control_stats_;
 
   std::map<std::size_t, Download> downloads_;

@@ -36,9 +36,6 @@ void Peer::handle_message(net::NodeId from, net::Connection& conn,
     case MessageType::Have:
       on_have(from, std::get<HaveMsg>(message));
       break;
-    case MessageType::HaveBatch:
-      on_have_batch(from, std::get<HaveBatchMsg>(message));
-      break;
     case MessageType::Request:
       on_request(from, conn, std::get<RequestMsg>(message));
       break;
@@ -67,8 +64,6 @@ void Peer::on_handshake(net::NodeId from, net::Connection& conn,
 void Peer::on_bitfield(net::NodeId, net::Connection&, const BitfieldMsg&) {}
 
 void Peer::on_have(net::NodeId, const HaveMsg&) {}
-
-void Peer::on_have_batch(net::NodeId, const HaveBatchMsg&) {}
 
 void Peer::on_choke(net::NodeId, net::Connection&) {}
 

@@ -92,7 +92,6 @@ class Peer {
   virtual void on_bitfield(net::NodeId from, net::Connection& conn,
                            const BitfieldMsg& msg);
   virtual void on_have(net::NodeId from, const HaveMsg& msg);
-  virtual void on_have_batch(net::NodeId from, const HaveBatchMsg& msg);
   virtual void on_choke(net::NodeId from, net::Connection& conn);
   virtual void on_request(net::NodeId from, net::Connection& conn,
                           const RequestMsg& msg);

@@ -29,8 +29,6 @@ const char* to_string(MessageType type) {
       return "cancel";
     case MessageType::Goodbye:
       return "goodbye";
-    case MessageType::HaveBatch:
-      return "have_batch";
   }
   return "?";
 }
@@ -68,9 +66,6 @@ MessageType type_of(const Message& message) {
     MessageType operator()(const GoodbyeMsg&) const {
       return MessageType::Goodbye;
     }
-    MessageType operator()(const HaveBatchMsg&) const {
-      return MessageType::HaveBatch;
-    }
   };
   return std::visit(Visitor{}, message);
 }
@@ -95,9 +90,6 @@ std::size_t encoded_size(const Message& message) {
     std::size_t operator()(const PieceMsg&) const { return 4 + 8; }
     std::size_t operator()(const CancelMsg&) const { return 4; }
     std::size_t operator()(const GoodbyeMsg&) const { return 0; }
-    std::size_t operator()(const HaveBatchMsg& m) const {
-      return 4 * m.segments.size();  // no count field; derived from frame
-    }
   };
   return kFraming + std::visit(Visitor{}, message);
 }
@@ -133,9 +125,6 @@ std::vector<std::uint8_t> encode(const Message& message) {
     }
     void operator()(const CancelMsg& m) const { w.put_u32(m.segment); }
     void operator()(const GoodbyeMsg&) const {}
-    void operator()(const HaveBatchMsg& m) const {
-      for (const std::uint32_t segment : m.segments) w.put_u32(segment);
-    }
   };
   std::visit(Visitor{body}, message);
 
@@ -219,25 +208,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
     case MessageType::Goodbye:
       message = GoodbyeMsg{};
       break;
-    case MessageType::HaveBatch: {
-      if (body.remaining() % 4 != 0) {
-        throw ParseError{"have_batch payload is not a whole number of "
-                         "segment ids"};
-      }
-      HaveBatchMsg m;
-      m.segments.reserve(body.remaining() / 4);
-      while (!body.at_end()) m.segments.push_back(body.get_u32());
-      if (m.segments.empty()) {
-        throw ParseError{"have_batch digest carries no segments"};
-      }
-      for (std::size_t i = 1; i < m.segments.size(); ++i) {
-        if (m.segments[i] <= m.segments[i - 1]) {
-          throw ParseError{"have_batch segments must be strictly ascending"};
-        }
-      }
-      message = std::move(m);
-      break;
-    }
     default:
       throw ParseError{"unknown message type " +
                        std::to_string(static_cast<int>(type))};

@@ -29,7 +29,6 @@ enum class MessageType : std::uint8_t {
   Piece = 9,
   Cancel = 10,
   Goodbye = 11,
-  HaveBatch = 12,
 };
 
 [[nodiscard]] const char* to_string(MessageType type);
@@ -83,17 +82,6 @@ struct CancelMsg {
   bool operator==(const CancelMsg&) const = default;
 };
 
-/// Epoch-batched HAVE digest: every segment the sender completed since
-/// its last control-plane flush, in one frame. Segments are strictly
-/// ascending and non-empty — the decoder rejects anything else, so a
-/// digest never smuggles duplicates or unordered entries past the
-/// fail-closed parse. The payload is 4 bytes per segment with no count
-/// field; the count is derived from the frame length.
-struct HaveBatchMsg {
-  std::vector<std::uint32_t> segments;
-  bool operator==(const HaveBatchMsg&) const = default;
-};
-
 struct GoodbyeMsg {
   bool operator==(const GoodbyeMsg&) const = default;
 };
@@ -101,7 +89,7 @@ struct GoodbyeMsg {
 using Message =
     std::variant<HandshakeMsg, BitfieldMsg, HaveMsg, InterestedMsg,
                  NotInterestedMsg, ChokeMsg, UnchokeMsg, RequestMsg,
-                 PieceMsg, CancelMsg, GoodbyeMsg, HaveBatchMsg>;
+                 PieceMsg, CancelMsg, GoodbyeMsg>;
 
 [[nodiscard]] MessageType type_of(const Message& message);
 

@@ -71,6 +71,10 @@ TEST(Scenario, ChurnProducesDepartures) {
   config.churn_mean_lifetime = Duration::seconds(30);
   const ScenarioResult result = run_scenario(config);
   EXPECT_GT(result.churn_departures, 0u);
+  // Churned runs stay deterministic in the seed.
+  const ScenarioResult again = run_scenario(config);
+  EXPECT_EQ(result.churn_departures, again.churn_departures);
+  EXPECT_EQ(result.total_stalls, again.total_stalls);
 }
 
 TEST(Scenario, RepeatedAveragesRuns) {

@@ -129,6 +129,9 @@ TEST(Wire, RejectsTruncationAndTrailingGarbage) {
 TEST(Wire, RejectsUnknownType) {
   std::vector<std::uint8_t> bytes{0, 0, 0, 1, 99};
   EXPECT_THROW((void)decode(bytes), ParseError);
+  // Type 12 is unassigned: a well-formed frame carrying it still fails.
+  std::vector<std::uint8_t> type12{0, 0, 0, 5, 12, 0, 0, 0, 1};
+  EXPECT_THROW((void)decode(type12), ParseError);
 }
 
 TEST(Wire, RejectsZeroLength) {

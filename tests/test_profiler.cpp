@@ -341,6 +341,7 @@ TEST(ResourceAccounting, ScenarioReportsMemoryAndEventHealth) {
 
   EXPECT_GT(result.events_fired, 0u);
   EXPECT_GT(result.heap_high_water, 0u);
+  EXPECT_GT(result.control_have_updates, 0u);
   ASSERT_FALSE(result.memory.empty());
   // Every instrumented subsystem reports something.
   for (const char* subsystem :

@@ -72,6 +72,9 @@ for name in "${names[@]}"; do
   cp "$tmp/BENCH_$name.json" "$repo/bench/baselines/BENCH_$name.json"
   echo "refreshed bench/baselines/BENCH_$name.json"
 done
+# The figure tables in EXPERIMENTS.md are generated from these baselines.
+python3 "$repo/tools/figure_tables.py" "$repo/EXPERIMENTS.md"
+echo "regenerated the figure tables in EXPERIMENTS.md"
 
 # Sanity: a fresh baseline must compare clean against itself.
 for name in "${names[@]}"; do
