@@ -143,33 +143,50 @@ void run_allocator_bench(bench::BenchResults& results, bool quick) {
                 "star allocator matches the generic reference");
 }
 
+/// Median of `values`; the disabled-cost gates read medians so that one
+/// slow pass (a frequency ramp, a neighbour on a shared runner) cannot
+/// decide them.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 double run_event_loop_bench(bench::BenchResults& results, bool quick) {
   // Schedule/cancel churn shaped like the incremental reallocator's
   // traffic: every flow-rate change cancels one completion event and
-  // schedules another.
+  // schedules another. The reported time is the median of five passes;
+  // it is the denominator of the two disabled-cost gates below.
   const std::size_t n = quick ? 100'000 : 1'000'000;
-  const auto start = std::chrono::steady_clock::now();
-  sim::Simulator sim;
-  std::vector<sim::EventId> pending;
-  pending.reserve(64);
   std::size_t fired = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const sim::EventId id = sim.after(
-        Duration::micros(static_cast<std::int64_t>(1 + i % 977)),
-        [&fired] { ++fired; });
-    if (i % 2 == 0) {
-      pending.push_back(id);
-    } else if (!pending.empty()) {
-      sim.cancel(pending.back());
-      pending.pop_back();
+  const auto time_pass = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    sim::Simulator sim;
+    std::vector<sim::EventId> pending;
+    pending.reserve(64);
+    fired = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const sim::EventId id = sim.after(
+          Duration::micros(static_cast<std::int64_t>(1 + i % 977)),
+          [&fired] { ++fired; });
+      if (i % 2 == 0) {
+        pending.push_back(id);
+      } else if (!pending.empty()) {
+        sim.cancel(pending.back());
+        pending.pop_back();
+      }
+      if (i % 64 == 63) sim.run_until(sim.now() + Duration::micros(512));
     }
-    if (i % 64 == 63) sim.run_until(sim.now() + Duration::micros(512));
-  }
-  sim.run();
-  const double elapsed = seconds_since(start);
+    sim.run();
+    return seconds_since(start);
+  };
+  std::vector<double> passes;
+  for (int p = 0; p < 5; ++p) passes.push_back(time_pass());
+  const double elapsed = median(passes);
   const double ops_per_sec = static_cast<double>(n) * 2.0 / elapsed;
   std::printf("event loop: %zu schedule+cancel/fire pairs in %.3f s "
-              "(%.1fM ops/s), %zu fired\n",
+              "(median of 5, %.1fM ops/s), %zu fired\n",
               n, elapsed, ops_per_sec / 1e6, fired);
   results.add_value("event_loop_ops", static_cast<double>(n) * 2.0);
   results.add_value("event_loop_seconds", elapsed);
@@ -177,40 +194,72 @@ double run_event_loop_bench(bench::BenchResults& results, bool quick) {
   return elapsed / (static_cast<double>(n) * 2.0) * 1e9;  // ns per op
 }
 
+// The disabled-cost gates time instrumented loops against identical
+// empty ones. One instrumented body per iteration leaves a marginal cost
+// under a nanosecond, which loop layout and code alignment can flip
+// either way, so each iteration carries kBodiesPerIter bodies, written
+// out by VSPLICE_BENCH_X16 (an inner loop would let the compiler move
+// the disabled path out of line), and the gate reads the median
+// difference of kDisabledCostPairs interleaved instrumented/empty
+// passes. The sizes are the same in --quick and full mode: both modes
+// read the same quantity.
+#define VSPLICE_BENCH_X4(body) body body body body
+#define VSPLICE_BENCH_X16(body) VSPLICE_BENCH_X4(VSPLICE_BENCH_X4(body))
+constexpr std::size_t kDisabledCostIters = 1'000'000;
+constexpr std::size_t kBodiesPerIter = 16;
+constexpr int kDisabledCostPairs = 15;
+/// Iterations of the enabled-cost pass (recorded, not gated).
+constexpr std::size_t kEnabledCostIters = 10'000;
+
+/// Median over kDisabledCostPairs of (instrumented - empty) seconds per
+/// pass, with the order inside each pair alternating.
+template <typename Instrumented, typename Empty>
+double median_marginal_seconds(const Instrumented& instrumented,
+                               const Empty& empty) {
+  std::vector<double> diffs;
+  for (int p = 0; p < kDisabledCostPairs; ++p) {
+    if (p % 2 == 0) {
+      const double with = instrumented(kDisabledCostIters);
+      diffs.push_back(with - empty(kDisabledCostIters));
+    } else {
+      const double without = empty(kDisabledCostIters);
+      diffs.push_back(instrumented(kDisabledCostIters) - without);
+    }
+  }
+  return median(std::move(diffs));
+}
+
+/// The empty loop both gates subtract: the instrumented loops below
+/// minus the instrumentation.
+double time_empty(std::size_t iters) {
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    VSPLICE_BENCH_X16({ benchmark::DoNotOptimize(i); })
+  }
+  return seconds_since(start);
+}
+
 void run_profiler_overhead_bench(bench::BenchResults& results,
-                                 double event_loop_ns_per_op, bool quick) {
+                                 double event_loop_ns_per_op) {
   // The event-loop bench above already pays the *disabled* profiler cost:
   // Simulator::at/fire compile in VSPLICE_PROFILE_SCOPE, and with no
   // profiler installed each scope is one thread-local pointer read.
   // Measure that read directly and bound it against the event loop's
   // ns/op (~one scope per schedule and one per fire, so one scope per
   // counted op) — the "near-zero cost when disabled" contract.
-  const std::size_t iters = quick ? 2'000'000 : 20'000'000;
-  const auto time_scopes = [&] {
+  const auto time_scopes = [](std::size_t iters) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      VSPLICE_PROFILE_SCOPE("bench.noop");
-      benchmark::DoNotOptimize(i);
+      VSPLICE_BENCH_X16({
+        VSPLICE_PROFILE_SCOPE("bench.noop");
+        benchmark::DoNotOptimize(i);
+      })
     }
     return seconds_since(start);
   };
-  // The loop counter + DoNotOptimize cost real time too; subtract an
-  // identical loop without the scope so only the scope's marginal cost
-  // is charged against the budget.
-  const auto time_empty = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(i);
-    }
-    return seconds_since(start);
-  };
-  // Two passes each, keep the minimum: frequency ramps on shared runners.
-  double scope_s = time_scopes();
-  double empty_s = time_empty();
-  scope_s = std::min(scope_s, time_scopes());
-  empty_s = std::min(empty_s, time_empty());
   const double scope_ns =
-      std::max(0.0, scope_s - empty_s) / static_cast<double>(iters) * 1e9;
+      std::max(0.0, median_marginal_seconds(time_scopes, time_empty)) /
+      static_cast<double>(kDisabledCostIters * kBodiesPerIter) * 1e9;
   const double overhead =
       event_loop_ns_per_op > 0 ? scope_ns / event_loop_ns_per_op : 0.0;
 
@@ -220,14 +269,9 @@ void run_profiler_overhead_bench(bench::BenchResults& results,
   double enabled_ns = 0;
   {
     obs::ScopedProfiler installed{&profiler};
-    const std::size_t enabled_iters = iters / 10;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < enabled_iters; ++i) {
-      VSPLICE_PROFILE_SCOPE("bench.noop");
-      benchmark::DoNotOptimize(i);
-    }
-    enabled_ns = seconds_since(start) /
-                 static_cast<double>(enabled_iters) * 1e9;
+    enabled_ns = time_scopes(kEnabledCostIters) /
+                 static_cast<double>(kEnabledCostIters * kBodiesPerIter) *
+                 1e9;
   }
 
   std::printf("profiler scope: disabled %.2f ns, enabled %.1f ns "
@@ -246,36 +290,26 @@ void run_profiler_overhead_bench(bench::BenchResults& results,
 }
 
 void run_span_overhead_bench(bench::BenchResults& results,
-                             double event_loop_ns_per_op, bool quick) {
+                             double event_loop_ns_per_op) {
   // Same contract as the profiler scope: with no recorder installed,
   // open_span()/close_span() are one thread-local pointer read and a
   // branch. Measure the marginal cost of a disabled open+close pair and
   // bound it against the event loop's ns/op.
-  const std::size_t iters = quick ? 2'000'000 : 20'000'000;
-  const auto time_spans = [&] {
+  const auto time_spans = [](std::size_t iters) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      const std::uint64_t id = obs::open_span(
-          obs::SpanKind::kPieceTransfer, TimePoint::origin(), 0, 1, 0);
-      obs::close_span(id, TimePoint::origin());
-      benchmark::DoNotOptimize(i);
+      VSPLICE_BENCH_X16({
+        const std::uint64_t id = obs::open_span(
+            obs::SpanKind::kPieceTransfer, TimePoint::origin(), 0, 1, 0);
+        obs::close_span(id, TimePoint::origin());
+        benchmark::DoNotOptimize(i);
+      })
     }
     return seconds_since(start);
   };
-  const auto time_empty = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(i);
-    }
-    return seconds_since(start);
-  };
-  // Two passes each, keep the minimum: frequency ramps on shared runners.
-  double span_s = time_spans();
-  double empty_s = time_empty();
-  span_s = std::min(span_s, time_spans());
-  empty_s = std::min(empty_s, time_empty());
   const double span_ns =
-      std::max(0.0, span_s - empty_s) / static_cast<double>(iters) * 1e9;
+      std::max(0.0, median_marginal_seconds(time_spans, time_empty)) /
+      static_cast<double>(kDisabledCostIters * kBodiesPerIter) * 1e9;
   const double overhead =
       event_loop_ns_per_op > 0 ? span_ns / event_loop_ns_per_op : 0.0;
 
@@ -285,16 +319,9 @@ void run_span_overhead_bench(bench::BenchResults& results,
   double enabled_ns = 0;
   {
     obs::ScopedSpanRecorder installed{&recorder};
-    const std::size_t enabled_iters = iters / 10;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < enabled_iters; ++i) {
-      const std::uint64_t id = obs::open_span(
-          obs::SpanKind::kPieceTransfer, TimePoint::origin(), 0, 1, 0);
-      obs::close_span(id, TimePoint::origin());
-      benchmark::DoNotOptimize(i);
-    }
-    enabled_ns = seconds_since(start) /
-                 static_cast<double>(enabled_iters) * 1e9;
+    enabled_ns = time_spans(kEnabledCostIters) /
+                 static_cast<double>(kEnabledCostIters * kBodiesPerIter) *
+                 1e9;
   }
 
   std::printf("span open+close: disabled %.2f ns, enabled %.1f ns "
@@ -382,8 +409,8 @@ int run_core_suite(bool quick) {
   bench::BenchResults results{"core"};
   run_allocator_bench(results, quick);
   const double event_loop_ns = run_event_loop_bench(results, quick);
-  run_profiler_overhead_bench(results, event_loop_ns, quick);
-  run_span_overhead_bench(results, event_loop_ns, quick);
+  run_profiler_overhead_bench(results, event_loop_ns);
+  run_span_overhead_bench(results, event_loop_ns);
   run_e2e_bench(results, quick);
   results.write();
   return results.all_checks_passed() ? 0 : 1;
