@@ -15,7 +15,6 @@
 //                         the VSPLICE_TRACE env var)
 //   --trace-chrome PATH   write a chrome://tracing / Perfetto trace of
 //                         the lifecycle record
-//   --metrics-csv PATH    dump the metrics registry as CSV
 //   --timeline            print the per-viewer sessions with every stall
 //                         explained
 //   --report OUT.html     self-contained HTML swarm-health report
@@ -32,6 +31,7 @@
 //   --log-level LEVEL     debug|info|warn|error|off; wins over
 //                         VSPLICE_LOG_LEVEL
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   std::string policy_spec = "adaptive";
   std::string trace_path;
   std::string trace_chrome_path;
-  std::string metrics_csv_path;
   std::string report_html_path;
   std::string snapshot_json_path;
   double sample_interval_s = 0;
@@ -69,8 +68,6 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (arg == "--trace-chrome" && i + 1 < argc) {
       trace_chrome_path = argv[++i];
-    } else if (arg == "--metrics-csv" && i + 1 < argc) {
-      metrics_csv_path = argv[++i];
     } else if (arg == "--report" && i + 1 < argc) {
       report_html_path = argv[++i];
     } else if (arg == "--snapshot" && i + 1 < argc) {
@@ -117,8 +114,15 @@ int main(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
-  if (positional.size() > 0)
-    bandwidth_kBps = parse_double(positional[0]).value_or(256);
+  if (positional.size() > 0) {
+    const auto parsed = parse_double(positional[0]);
+    if (!parsed || !std::isfinite(*parsed) || *parsed <= 0) {
+      std::fprintf(stderr, "bad bandwidth: %s (need kB/s > 0)\n",
+                   positional[0].c_str());
+      return 2;
+    }
+    bandwidth_kBps = *parsed;
+  }
   if (positional.size() > 1) splicer_spec = positional[1];
   if (positional.size() > 2) policy_spec = positional[2];
 
@@ -126,8 +130,8 @@ int main(int argc, char** argv) {
   // followed by a silent write failure is the worst way to learn about a
   // typo'd directory.
   for (const std::string* path :
-       {&trace_path, &trace_chrome_path, &metrics_csv_path,
-        &report_html_path, &snapshot_json_path}) {
+       {&trace_path, &trace_chrome_path, &report_html_path,
+        &snapshot_json_path}) {
     if (!path->empty() && !obs::probe_writable_path(*path)) {
       std::fprintf(stderr, "cannot write to '%s'\n", path->c_str());
       return 2;
@@ -180,7 +184,6 @@ int main(int argc, char** argv) {
   config.trace_path = trace_path;
   config.trace_chrome_path = trace_chrome_path;
   config.spans = spans;
-  config.metrics_csv_path = metrics_csv_path;
   config.timeline_summary = timeline;
   config.report_html_path = report_html_path;
   config.snapshot_json_path = snapshot_json_path;
@@ -229,7 +232,6 @@ int main(int argc, char** argv) {
     // path exactly.
     experiments::ScenarioConfig repeated_config = config;
     repeated_config.trace_path.clear();
-    repeated_config.metrics_csv_path.clear();
     repeated_config.report_html_path.clear();
     repeated_config.snapshot_json_path.clear();
     repeated_config.trace_chrome_path.clear();
@@ -263,8 +265,6 @@ int main(int argc, char** argv) {
     std::printf("\ntrace written to %s\n", trace_path.c_str());
   if (!trace_chrome_path.empty())
     std::printf("chrome trace written to %s\n", trace_chrome_path.c_str());
-  if (!metrics_csv_path.empty())
-    std::printf("metrics written to %s\n", metrics_csv_path.c_str());
   if (!report_html_path.empty())
     std::printf("report written to %s\n", report_html_path.c_str());
   if (!snapshot_json_path.empty())

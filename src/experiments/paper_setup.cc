@@ -99,6 +99,7 @@ std::vector<std::pair<std::string, std::string>> report_params(
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   require(config.nodes >= 2, "need at least a seeder and one viewer");
+  require(config.bandwidth > Rate::zero(), "bandwidth must be positive");
   require(config.pair_loss >= 0.0 && config.pair_loss < 1.0,
           "pair loss must be in [0, 1)");
   require(config.loop_threads == 1, "loop_threads must be 1");
@@ -108,10 +109,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // touches no simulator or RNG state, so the order is free).
   sim::Simulator sim;
 
-  // Observability: installed for the scope of this run when any output
-  // was requested. Nests under any context the caller pre-installed
-  // (tests drive their own Observability; then none is created here
-  // and the caller's record sees every span).
+  // Observability: installed for the scope of this run when the
+  // lifecycle record or the profiler is on. Nests under any context the
+  // caller pre-installed (tests drive their own Observability; then none
+  // is created here and the caller's record sees every span).
   const std::string trace_path = resolve_trace_path(config.trace_path);
   const bool profile = config.profile || profile_env_enabled();
   // The report/snapshot outputs need the swarm sampler.
@@ -125,13 +126,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                      !trace_path.empty() || config.timeline_summary ||
                      wants_sampling || !config.trace_chrome_path.empty();
   std::optional<obs::Observability> observability;
-  if (spans || !config.metrics_csv_path.empty() || profile) {
+  if (spans || profile) {
     obs::ObsOptions obs_options;
     obs_options.trace_path = trace_path;
-    obs_options.metrics_csv_path = config.metrics_csv_path;
     obs_options.profile = profile;
     obs_options.spans = spans;
-    observability.emplace(std::move(obs_options));
+    observability.emplace(obs_options);
   }
 
   // --- Content: the fixed 2-minute 1 Mbps video, spliced per config —
@@ -193,7 +193,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     p2p::LeecherConfig leecher_config;
     leecher_config.policy = policy;
     leecher_config.bandwidth_hint = config.bandwidth;
-    leecher_config.brute_force_scheduling = config.brute_force_scheduling;
     leecher_config.announce_max_peers = config.announce_max_peers;
     p2p::Leecher& leecher =
         swarm.add_leecher(node, peer_config, leecher_config);
@@ -373,7 +372,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     info.params = report_params(config, sample_interval);
     obs::ReportData report =
         obs::build_report(std::move(info), *series_store,
-                          observability->spans(), &observability->registry());
+                          observability->spans());
     report.profile = result.profile;
     report.memory = result.memory;
     report.memory_peak_bytes = result.memory_peak_bytes;

@@ -90,8 +90,6 @@ struct ScenarioConfig {
   /// the VSPLICE_TRACE environment variable (empty there too = no
   /// trace). Identical seeds produce byte-identical files.
   std::string trace_path;
-  /// Metrics-registry CSV destination; empty = none.
-  std::string metrics_csv_path;
   /// Fill ScenarioResult::timeline with the per-viewer session and
   /// stall-explanation summary of the lifecycle record.
   bool timeline_summary = false;

@@ -10,9 +10,8 @@
 //
 // Threading model: workers claim indices from an atomic counter (no
 // per-task queue, no locks on the hot path). The per-run observability
-// context (metrics registry, span recorder, profiler) is thread_local,
-// so each worker's runs record into their own files without
-// synchronization. The first exception thrown by any task is captured
+// context (span recorder, profiler) is thread_local, so each worker's
+// runs record into their own files without synchronization. The first exception thrown by any task is captured
 // and rethrown from run() after all workers have drained; remaining
 // tasks still execute (their slots stay valid), matching the
 // all-or-nothing semantics tests expect.

@@ -1,7 +1,6 @@
 #include "net/connection.h"
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace vsplice::net {
@@ -39,7 +38,6 @@ void Connection::connect(std::function<void()> on_established) {
         connect_event_ = sim::kInvalidEventId;
         state_ = State::Established;
         last_activity_ = net_.simulator().now();
-        obs::count("net.connections_opened");
         cb();
       });
 }
@@ -214,7 +212,6 @@ void Connection::finish_fetch(bool aborted, Bytes delivered) {
 
 void Connection::close() {
   if (state_ == State::Closed) return;
-  const bool was_established = state_ == State::Established;
   state_ = State::Closed;
   cancel_tracked_events();
   if (span_request_ != 0) {
@@ -223,7 +220,6 @@ void Connection::close() {
     obs::abort_span(span_request_, net_.simulator().now());
     span_request_ = 0;
   }
-  if (was_established) obs::count("net.connections_closed");
   if (fetch_.has_value()) {
     // Detach the flow first so its on_abort sees no active fetch, then
     // report the abort to the caller ourselves.

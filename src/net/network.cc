@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace vsplice::net {
@@ -18,10 +17,6 @@ constexpr double kDoneTolerance = 1e-3;
 
 // flow_order_ tombstone: the flow that held this position is gone.
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-// Flow lifetime/size distributions for the metrics registry.
-constexpr obs::HistogramSpec kFlowSecondsSpec{0.0, 1.0, 120};
-constexpr obs::HistogramSpec kFlowKilobytesSpec{0.0, 50.0, 100};
 }  // namespace
 
 Network::Network(sim::Simulator& sim, TcpParams tcp)
@@ -219,7 +214,6 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size, Rate cap,
     flow_generation_.push_back(1);
   }
   ++stats_.flows_started;
-  obs::count("net.flows_started");
 
   Flow& flow = flows_[slot];
   flow.src = src;
@@ -265,9 +259,7 @@ Network::AbortedFlow Network::remove_aborted(std::uint32_t slot) {
     sim_.cancel(live.completion_event);
   Flow flow = release_slot(slot);
   ++stats_.flows_aborted;
-  obs::count("net.flows_aborted");
   const double delivered = std::max(0.0, flow.total - flow.remaining);
-  obs::count("net.bytes_wasted", static_cast<std::uint64_t>(delivered));
   return AbortedFlow{std::move(flow.callbacks),
                      static_cast<Bytes>(delivered)};
 }
@@ -643,13 +635,6 @@ void Network::finish_flow(FlowId id) {
   unlink_flow(flow);
   const Flow done = release_slot(slot);
   ++stats_.flows_completed;
-  obs::count("net.flows_completed");
-  obs::count("net.bytes_delivered",
-             static_cast<std::uint64_t>(done.total));
-  obs::observe("net.flow_duration_s",
-               (sim_.now() - done.started).as_seconds(), kFlowSecondsSpec);
-  obs::observe("net.flow_kilobytes", done.total / 1000.0,
-               kFlowKilobytesSpec);
   // Rates are recomputed before the callback runs: on_complete must
   // never observe the finished flow's share still assigned.
   reallocate();

@@ -426,34 +426,21 @@ std::string summarize_timeline(const std::vector<Span>& spans) {
   return out.str();
 }
 
-// --------------------------------------------------------------- metrics
-
-std::string metrics_csv(const MetricsRegistry& registry) {
-  return registry.to_csv();
-}
-
 // ---------------------------------------------------------- Observability
 
-Observability::Observability(ObsOptions options)
-    : options_{std::move(options)}, scope_{&registry_} {
-  if (!options_.trace_path.empty()) {
-    trace_file_.open(options_.trace_path, std::ios::trunc);
+Observability::Observability(const ObsOptions& options) {
+  if (!options.trace_path.empty()) {
+    trace_file_.open(options.trace_path, std::ios::trunc);
     require(trace_file_.is_open(),
-            "cannot open trace file '" + options_.trace_path + "'");
+            "cannot open trace file '" + options.trace_path + "'");
   }
-  if (options_.profile) {
+  if (options.profile) {
     profiler_ = std::make_unique<Profiler>();
     profiler_scope_ = std::make_unique<ScopedProfiler>(profiler_.get());
   }
-  if (options_.spans || !options_.trace_path.empty()) {
+  if (options.spans || !options.trace_path.empty()) {
     spans_ = std::make_unique<SpanRecorder>();
     span_scope_ = std::make_unique<ScopedSpanRecorder>(spans_.get());
-  }
-}
-
-Observability::~Observability() {
-  if (!options_.metrics_csv_path.empty()) {
-    write_metrics_csv(options_.metrics_csv_path);
   }
 }
 
@@ -469,12 +456,6 @@ void Observability::finish(TimePoint end) {
     trace_file_ << span_to_jsonl(span) << '\n';
   }
   trace_file_.close();
-}
-
-void Observability::write_metrics_csv(const std::string& path) const {
-  std::ofstream out{path, std::ios::trunc};
-  require(out.is_open(), "cannot open metrics CSV '" + path + "'");
-  out << registry_.to_csv();
 }
 
 }  // namespace vsplice::obs

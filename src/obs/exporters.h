@@ -1,4 +1,4 @@
-// Views over the lifecycle record (obs/span.h) and the metrics registry.
+// Views over the lifecycle record (obs/span.h).
 //
 //   - span_to_jsonl()/parse_span_line(): the --trace format, one JSON
 //     object per span in id order, written when the run ends; a trace
@@ -10,9 +10,8 @@
 //     the anomalies overlapping the stall.
 //   - summarize_timeline(): per-viewer sessions with every stall
 //     explained, plus a cause tally.
-// Plus metrics_csv() for the MetricsRegistry, and Observability — the
-// one-stop bundle (registry + record + profiler + scoped install) that
-// run_scenario and the CLI tools use.
+// Plus Observability — the one-stop bundle (record + profiler + scoped
+// install) that run_scenario and the CLI tools use.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 
 #include "obs/anomaly.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
 
@@ -80,20 +78,12 @@ struct StallExplanation {
 /// each stall explained, followed by a cause tally.
 [[nodiscard]] std::string summarize_timeline(const std::vector<Span>& spans);
 
-// --------------------------------------------------------------- metrics
-
-/// Same rows as MetricsRegistry::to_csv (kept as a free function so the
-/// exporter set is discoverable in one header).
-[[nodiscard]] std::string metrics_csv(const MetricsRegistry& registry);
-
 // --------------------------------------------------- one-stop session API
 
 struct ObsOptions {
   /// Span-trace JSONL destination, written by finish(); empty = no
   /// file. Implies `spans`.
   std::string trace_path;
-  /// Metrics CSV destination, written on destruction; empty = none.
-  std::string metrics_csv_path;
   /// Install a hot-path profiler for this thread (VSPLICE_PROFILE_SCOPE
   /// accumulates into it; read back via profile_snapshot()).
   bool profile = false;
@@ -103,17 +93,14 @@ struct ObsOptions {
   bool spans = false;
 };
 
-/// Owns a MetricsRegistry and the requested recorders, installs them as
-/// the scoped per-thread globals, and writes the file views. Destruction
-/// writes the metrics CSV and restores the previous context.
+/// Owns the requested recorders, installs them as the scoped per-thread
+/// globals, and writes the trace file. Destruction restores the previous
+/// context.
 class Observability {
  public:
-  explicit Observability(ObsOptions options);
+  explicit Observability(const ObsOptions& options);
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
-  ~Observability();
-
-  [[nodiscard]] MetricsRegistry& registry() { return registry_; }
 
   /// summarize_timeline over the record.
   [[nodiscard]] std::string timeline() const;
@@ -121,10 +108,6 @@ class Observability {
   /// Ends the record at `end`: closes every still-open span (keeping its
   /// open flag) and writes the trace file, when one was requested.
   void finish(TimePoint end);
-
-  /// Writes the metrics CSV now (also done automatically on destruction
-  /// when metrics_csv_path is set).
-  void write_metrics_csv(const std::string& path) const;
 
   /// True when ObsOptions::profile installed a profiler.
   [[nodiscard]] bool profiling() const { return profiler_ != nullptr; }
@@ -144,13 +127,10 @@ class Observability {
   }
 
  private:
-  ObsOptions options_;
-  MetricsRegistry registry_;
   std::ofstream trace_file_;
-  ScopedObs scope_;
-  /// Allocated only when options_.profile; installed for this thread
-  /// right after scope_ (independent thread_local, so the declaration
-  /// order next to ScopedObs carries no restore-order constraint).
+  /// Allocated only when ObsOptions::profile; installed for this thread
+  /// (an independent thread_local, so members carry no restore-order
+  /// constraint between them).
   std::unique_ptr<Profiler> profiler_;
   std::unique_ptr<ScopedProfiler> profiler_scope_;
   /// Allocated only when the record is on; same install pattern as the

@@ -23,10 +23,9 @@
 // of a report is deterministic even though the nanosecond values are
 // wall-clock measurements.
 //
-// Threading: like the span recorder and the metrics registry,
-// installation is per-thread (detail::g_profiler). Each ParallelRunner
-// worker installs its own Profiler; snapshots can be merged
-// deterministically with merge().
+// Threading: like the span recorder, installation is per-thread
+// (detail::g_profiler). Each ParallelRunner worker installs its own
+// Profiler; snapshots can be merged deterministically with merge().
 #pragma once
 
 #include <cstdint>

@@ -515,12 +515,10 @@ std::string fmt_bytes(std::uint64_t bytes) {
 // ============================================================ build/write
 
 ReportData build_report(RunInfo info, const TimeSeriesStore& store,
-                        const std::vector<Span>& spans,
-                        const MetricsRegistry* metrics) {
+                        const std::vector<Span>& spans) {
   ReportData data;
   data.info = std::move(info);
   data.series = &store;
-  data.metrics = metrics;
   data.anomalies = scan_anomalies(store, spans);
   data.stalls = explain_stalls(spans, data.anomalies);
   data.waterfall = segment_waterfall(spans);
@@ -654,37 +652,7 @@ std::string render_json_snapshot(const ReportData& data) {
            ",\"total_s\":" + fmt_g(phase.total_s) + "}";
   }
 
-  out += "],\n\"metrics\":{";
-  if (data.metrics != nullptr) {
-    std::string counters;
-    std::string gauges;
-    std::string histograms;
-    for (const std::string& name : data.metrics->names()) {
-      if (const Counter* c = data.metrics->find_counter(name)) {
-        if (!counters.empty()) counters += ',';
-        counters += json_escape(name) + ":" + std::to_string(c->value());
-      } else if (const Gauge* g = data.metrics->find_gauge(name)) {
-        if (!gauges.empty()) gauges += ',';
-        gauges += json_escape(name) + ":{\"last\":" + fmt_g(g->value()) +
-                  ",\"count\":" + std::to_string(g->samples().count()) +
-                  ",\"mean\":" + fmt_g(g->samples().mean()) +
-                  ",\"min\":" + fmt_g(g->samples().min()) +
-                  ",\"max\":" + fmt_g(g->samples().max()) + "}";
-      } else if (const HistogramMetric* h =
-                     data.metrics->find_histogram(name)) {
-        if (!histograms.empty()) histograms += ',';
-        histograms += json_escape(name) +
-                      ":{\"count\":" + std::to_string(h->stats().count()) +
-                      ",\"mean\":" + fmt_g(h->stats().mean()) +
-                      ",\"min\":" + fmt_g(h->stats().min()) +
-                      ",\"max\":" + fmt_g(h->stats().max()) + "}";
-      }
-    }
-    out += "\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-           "},\"histograms\":{" + histograms + "}";
-  }
-
-  out += "},\n\"profile\":[";
+  out += "],\n\"profile\":[";
   for (std::size_t i = 0; i < data.profile.entries.size(); ++i) {
     const ProfileEntry& entry = data.profile.entries[i];
     if (i > 0) out += ',';

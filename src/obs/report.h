@@ -36,8 +36,6 @@ struct ReportData {
   RunInfo info;
   /// Required; must outlive the ReportData.
   const TimeSeriesStore* series = nullptr;
-  /// Optional; enables the metrics section.
-  const MetricsRegistry* metrics = nullptr;
   /// Each stall's `anomalies` indices point into `anomalies`.
   std::vector<StallExplanation> stalls;
   std::vector<Anomaly> anomalies;
@@ -64,9 +62,7 @@ struct ReportData {
 /// builds the waterfall and the timeline text.
 [[nodiscard]] ReportData build_report(RunInfo info,
                                       const TimeSeriesStore& store,
-                                      const std::vector<Span>& spans,
-                                      const MetricsRegistry* metrics =
-                                          nullptr);
+                                      const std::vector<Span>& spans);
 
 [[nodiscard]] std::string render_json_snapshot(const ReportData& data);
 [[nodiscard]] std::string render_html_report(const ReportData& data);

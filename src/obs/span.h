@@ -30,9 +30,9 @@
 // every parent id resolves. memory_bytes() feeds the "obs.spans"
 // MemoryBreakdown row.
 //
-// Threading: like the profiler and the metrics registry, installation
-// is per-thread (detail::g_spans, ScopedSpanRecorder). Each
-// ParallelRunner worker gets its own recorder.
+// Threading: like the profiler, installation is per-thread
+// (detail::g_spans, ScopedSpanRecorder). Each ParallelRunner worker
+// gets its own recorder.
 #pragma once
 
 #include <cstdint>

@@ -6,16 +6,11 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
 #include "p2p/swarm.h"
 
 namespace {
-// Per-segment download latency distribution, 0-60s in quarter-second
-// buckets (segment fetches beyond a minute land in the overflow bucket).
-constexpr vsplice::obs::HistogramSpec kSegmentLatencySpec{0.0, 0.25, 240};
-
 // Accumulates real wall time spent inside a scheduling decision into
 // SchedulerStats::engine_ns. A decision runs microseconds at most, so
 // the two clock reads are noise next to either selection path.
@@ -40,17 +35,34 @@ class EngineTimer {
 
 namespace vsplice::p2p {
 
+namespace {
+// Protocol timings and sizes, the same for every leecher.
+/// Wait before retrying when every holder of a segment choked us.
+constexpr Duration kChokeBackoff = Duration::millis(250);
+/// How long a holder that choked us is avoided when alternatives exist.
+constexpr Duration kChokeCooldown = Duration::millis(2000);
+/// When a HAVE reveals a fresh holder of a segment we are still waiting
+/// on (request not yet granted), probability of switching to it —
+/// spreads load off the seeder as content propagates.
+constexpr double kRebalanceProbability = 0.5;
+/// Give up on an unanswered request after this long and retry another
+/// holder. A request can legitimately sit in a busy peer's queue for a
+/// while, so this is a backstop, not a reaction time (departed peers
+/// are learned about via the swarm's reset broadcast).
+constexpr Duration kRequestTimeout = Duration::millis(60'000);
+/// Periodic download-loop kick (safety net between events).
+constexpr Duration kTick = Duration::millis(500);
+/// Approximate size of the metadata/announce request sent to the seeder
+/// at startup.
+constexpr Bytes kMetadataRequestBytes = 128;
+}  // namespace
+
 Leecher::Leecher(Swarm& swarm, net::NodeId node, PeerConfig peer_config,
                  LeecherConfig config, std::uint64_t seed)
     : Peer{swarm, node, peer_config},
       config_{std::move(config)},
       rng_{seed} {
   require(config_.policy != nullptr, "leecher needs a pool policy");
-  require(config_.choke_backoff > Duration::zero(),
-          "choke backoff must be positive");
-  require(config_.request_timeout > Duration::zero(),
-          "request timeout must be positive");
-  require(config_.tick > Duration::zero(), "tick must be positive");
 }
 
 Leecher::~Leecher() {
@@ -70,7 +82,6 @@ void Leecher::join() {
   require(swarm_.has_seeder(), "cannot join a swarm without a seeder");
   joined_ = true;
   join_time_ = swarm_.simulator().now();
-  obs::count("p2p.peers_joined");
   announce_span_ = obs::open_span(obs::SpanKind::kAnnounce, join_time_, 0,
                                   static_cast<std::int64_t>(node_.value),
                                   -1);
@@ -164,7 +175,7 @@ void Leecher::fetch_metadata() {
     const Bytes playlist_bytes =
         static_cast<Bytes>(swarm_.playlist_text().size());
     seeder_conn_->fetch(
-        config_.metadata_request_bytes, playlist_bytes,
+        kMetadataRequestBytes, playlist_bytes,
         [this](const net::Connection::FetchResult& result) {
           if (!online_) return;
           if (result.aborted) {
@@ -200,9 +211,10 @@ void Leecher::on_metadata(const std::string& playlist_text) {
 
   // Our own availability bitfield was sized by the base class from the
   // swarm's ground truth; it matches the playlist (checked above).
-  config_.player.trace_id = static_cast<std::int64_t>(node_.value);
+  streaming::PlayerConfig player_config;
+  player_config.trace_id = static_cast<std::int64_t>(node_.value);
   player_ = std::make_unique<streaming::Player>(swarm_.simulator(), *index_,
-                                                config_.player);
+                                                player_config);
   player_->on_started = [this] { schedule_downloads(); };
   player_->on_resume = [this] { schedule_downloads(); };
   player_->start_session(join_time_);
@@ -218,7 +230,7 @@ void Leecher::on_metadata(const std::string& playlist_text) {
   }
 
   tick_ = std::make_unique<sim::PeriodicTask>(
-      swarm_.simulator(), config_.tick, [this] { schedule_downloads(); });
+      swarm_.simulator(), kTick, [this] { schedule_downloads(); });
   tick_->start();
 
   obs::close_span(announce_span_, swarm_.simulator().now());
@@ -251,15 +263,12 @@ void Leecher::broadcast_have(std::size_t segment) {
   // queues own their copies independently).
   const Message have{HaveMsg{static_cast<std::uint32_t>(segment)}};
   const Bytes wire_size = static_cast<Bytes>(encoded_size(have));
-  std::uint64_t recipients = 0;
   for (auto& [peer, conn] : control_) {
     if (conn->established()) {
       send_sized(*conn, have, wire_size);
       ++control_stats_.have_updates;
-      ++recipients;
     }
   }
-  if (recipients > 0) obs::count("p2p.control_haves", recipients);
 }
 
 // ------------------------------------------------------ protocol handlers
@@ -303,7 +312,7 @@ void Leecher::on_have(net::NodeId from, const HaveMsg& msg) {
       const bool waiting =
           download.conn && !download.conn->fetch_in_progress();
       if (waiting && download.holder != from &&
-          rng_.bernoulli(config_.rebalance_probability)) {
+          rng_.bernoulli(kRebalanceProbability)) {
         request_from(download, from);
       }
     }
@@ -322,7 +331,6 @@ void Leecher::schedule_downloads() {
     last_pool_emitted_ = pool;
     obs::instant_span(obs::SpanKind::kPool, swarm_.simulator().now(), 0,
                       static_cast<std::int64_t>(node_.value), -1, pool);
-    obs::set_gauge("p2p.pool_target", static_cast<double>(pool));
   }
   while (downloads_.size() < static_cast<std::size_t>(pool)) {
     const std::optional<std::size_t> next = next_segment_to_fetch();
@@ -336,7 +344,7 @@ std::optional<std::size_t> Leecher::next_segment_to_fetch() {
   const EngineTimer timer{sched_.engine_ns};
   ++sched_.segment_picks;
   const auto& buffer = player_->buffer();
-  if (config_.brute_force_scheduling) {
+  if (swarm_.brute_force_oracle()) {
     // Retained oracle: linear scan over the whole remaining playlist.
     for (std::size_t i = buffer.frontier(); i < index_->count(); ++i) {
       ++sched_.candidates_scanned;
@@ -384,7 +392,7 @@ std::optional<net::NodeId> Leecher::pick_holder(
     const std::uint32_t slot = slot_id - 1;
     const Bitfield& have = slots_[slot];
     if (segment >= have.size() || !have.get(segment)) return;
-    if (config_.brute_force_scheduling) {
+    if (swarm_.brute_force_oracle()) {
       // The oracle keeps the original peer-object lookup so its measured
       // cost stays what the pre-optimization code paid.
       const Peer* remote = swarm_.find(peer);
@@ -394,13 +402,13 @@ std::optional<net::NodeId> Leecher::pick_holder(
     }
     const bool cooling_down =
         slot_choked_[slot] != 0 &&
-        now - slot_choked_at_[slot] < config_.choke_cooldown;
+        now - slot_choked_at_[slot] < kChokeCooldown;
     (cooling_down ? cooling : fresh).push_back(peer);
   };
   // Both paths visit candidates in ascending node order — the order the
   // old map iteration had — so the RNG draws below are identical and the
   // oracle and incremental paths stay byte-equivalent.
-  if (config_.brute_force_scheduling) {
+  if (swarm_.brute_force_oracle()) {
     for (net::NodeId peer : known_peers_) classify(peer);
   } else if (segment < holders_.size()) {
     for (net::NodeId peer : holders_[segment]) classify(peer);
@@ -430,7 +438,7 @@ void Leecher::attempt_download(Download& download) {
     }
     download.tried.clear();
     download.retry_event =
-        sim.after(config_.choke_backoff, [this, segment] {
+        sim.after(kChokeBackoff, [this, segment] {
           const auto it = downloads_.find(segment);
           if (it == downloads_.end()) return;
           it->second.retry_event = sim::kInvalidEventId;
@@ -446,7 +454,6 @@ void Leecher::request_from(Download& download, net::NodeId holder) {
   const std::size_t segment = download.segment;
   const TimePoint now = swarm_.simulator().now();
   download.holder = holder;
-  obs::count("p2p.segment_requests");
   if (download.wait_span != 0) {
     obs::close_span(download.wait_span, now);
     download.wait_span = 0;
@@ -485,7 +492,7 @@ void Leecher::request_from(Download& download, net::NodeId holder) {
 void Leecher::arm_request_timeout(Download& download) {
   const std::size_t segment = download.segment;
   download.timeout_event = swarm_.simulator().after(
-      config_.request_timeout,
+      kRequestTimeout,
       [this, segment] {
         const auto it = downloads_.find(segment);
         if (it == downloads_.end()) return;
@@ -548,14 +555,12 @@ void Leecher::on_piece_outcome(std::size_t segment, net::NodeId holder,
     // Stale: a transfer we already cancelled or reassigned.
     player_->metrics().bytes_wasted += result.bytes_delivered;
     player_->metrics().bytes_downloaded += result.bytes_delivered;
-    obs::count("p2p.segments_aborted");
     return;
   }
   Download& download = it->second;
   player_->metrics().bytes_downloaded += result.bytes_delivered;
   if (result.aborted) {
     player_->metrics().bytes_wasted += result.bytes_delivered;
-    obs::count("p2p.segments_aborted");
     download.tried.insert(holder);
     if (download.conn) swarm_.dispose_connection(std::move(download.conn));
     attempt_download(download);
@@ -569,9 +574,6 @@ void Leecher::on_segment_complete(std::size_t segment, Bytes bytes,
                                   Duration elapsed) {
   const auto it = downloads_.find(segment);
   const TimePoint now = swarm_.simulator().now();
-  obs::count("p2p.segments_received");
-  obs::observe("p2p.segment_latency_s", elapsed.as_seconds(),
-               kSegmentLatencySpec);
   // Close out the causal chain: verify + buffer insert are instants in
   // this discrete model (no decode latency is simulated), then the
   // kSegment root itself. The root id moves to the player, which emits

@@ -38,36 +38,11 @@ struct LeecherConfig {
   /// The bandwidth B the policy sees. The paper simulates B on GENI (the
   /// links are shaped, so B is known).
   Rate bandwidth_hint = Rate::kilobytes_per_second(128);
-  /// Player startup rule.
-  streaming::PlayerConfig player;
-  /// Wait before retrying when every holder of a segment choked us.
-  Duration choke_backoff = Duration::millis(250);
-  /// How long a holder that choked us is avoided when alternatives exist.
-  Duration choke_cooldown = Duration::seconds(2.0);
-  /// When a HAVE reveals a fresh holder of a segment we are still waiting
-  /// on (request not yet granted), probability of switching to it —
-  /// spreads load off the seeder as content propagates.
-  double rebalance_probability = 0.5;
-  /// Give up on an unanswered request after this long and retry another
-  /// holder. A request can legitimately sit in a busy peer's queue for a
-  /// while, so this is a backstop, not a reaction time (departed peers
-  /// are learned about via the swarm's reset broadcast).
-  Duration request_timeout = Duration::seconds(60.0);
-  /// Periodic download-loop kick (safety net between events).
-  Duration tick = Duration::millis(500);
-  /// Approximate size of the metadata/announce request we send the
-  /// seeder at startup.
-  Bytes metadata_request_bytes = 128;
   /// Cap on the tracker's announce response — how many other peers we
   /// learn about (and open control connections to) at join. The paper's
   /// figures keep the BitTorrent-style default; raising it densifies the
   /// control mesh (every HAVE broadcast reaches more neighbours).
   std::size_t announce_max_peers = 50;
-  /// Retained pre-optimization scheduling path: linear scans over every
-  /// segment and every known peer instead of the incremental structures.
-  /// The differential tests and the scaling benchmark run it as the
-  /// oracle; pair it with Swarm::set_brute_force_oracle.
-  bool brute_force_scheduling = false;
 };
 
 /// Counters for the scheduling hot path; the scaling benchmark reports

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
 
@@ -192,9 +191,6 @@ obs::SwarmObservation Swarm::observe() const {
   } else {
     out.replicas.assign(replicas_.begin(), replicas_.end());
   }
-  std::size_t lo = out.replicas.empty() ? 0 : out.replicas.front();
-  for (const std::size_t count : out.replicas) lo = std::min(lo, count);
-  obs::set_gauge("swarm.min_replicas", static_cast<double>(lo));
   for (const auto& peer : peers_) {
     if (peer->is_seeder()) {
       out.seeder_active_uploads = peer->active_uploads();
@@ -251,11 +247,9 @@ void Swarm::deliver(net::NodeId from, MessagePool::Node* node) {
   Peer* target = find(to);
   if (target == nullptr || !target->online()) {
     ++stats_.messages_dropped;
-    dropped_metric_.add();
     return;
   }
   ++stats_.messages_routed;
-  routed_metric_.add();
   target->handle_message(from, conn, message);
 }
 
@@ -273,11 +267,9 @@ void Swarm::deliver_checked(net::NodeId from, net::NodeId to,
   Peer* target = find(to);
   if (target == nullptr || !target->online()) {
     ++stats_.messages_dropped;
-    dropped_metric_.add();
     return;
   }
   ++stats_.messages_routed;
-  routed_metric_.add();
   target->handle_message(from, conn, decoded);
 }
 
@@ -286,11 +278,9 @@ void Swarm::deliver(net::NodeId from, net::NodeId to, net::Connection& conn,
   Peer* target = find(to);
   if (target == nullptr || !target->online()) {
     ++stats_.messages_dropped;
-    dropped_metric_.add();
     return;
   }
   ++stats_.messages_routed;
-  routed_metric_.add();
   target->handle_message(from, conn, bytes);
 }
 
@@ -322,7 +312,6 @@ void Swarm::broadcast_peer_left(net::NodeId who) {
   VSPLICE_INFO("swarm") << who.to_string() << " left the swarm";
   obs::instant_span(obs::SpanKind::kLeave, simulator().now(), 0,
                     static_cast<std::int64_t>(who.value), -1);
-  obs::count("p2p.peers_left");
   for (auto& peer : peers_) {
     if (peer->node() != who && peer->online()) peer->on_peer_left(who);
   }

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "core/segment.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "p2p/leecher.h"
 #include "p2p/message_pool.h"
@@ -109,9 +108,9 @@ class Swarm {
   [[nodiscard]] obs::MemoryBreakdown memory_breakdown() const;
 
   /// Selects the retained pre-change code paths (linear peer lookup,
-  /// full replica-histogram rebuild in observe); the differential tests
-  /// and bench_scale use them as the oracle against the incremental
-  /// structures.
+  /// full replica-histogram rebuild in observe, and every leecher's
+  /// linear segment/peer scans); the differential tests and bench_scale
+  /// use them as the oracle against the incremental structures.
   void set_brute_force_oracle(bool on) { brute_force_ = on; }
   [[nodiscard]] bool brute_force_oracle() const { return brute_force_; }
 
@@ -185,9 +184,6 @@ class Swarm {
   bool brute_force_ = false;
   Seeder* seeder_ = nullptr;
   SwarmStats stats_;
-  // Per-message metrics, resolved once per installed registry.
-  obs::CachedCounter routed_metric_{"swarm.messages_routed"};
-  obs::CachedCounter dropped_metric_{"swarm.messages_dropped"};
 };
 
 }  // namespace vsplice::p2p

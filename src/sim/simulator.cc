@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace vsplice::sim {
@@ -33,7 +32,6 @@ EventId Simulator::at(TimePoint t, std::function<void()> fn) {
   }
   heap_high_water_ = std::max(heap_high_water_, heap_.size());
   ++live_;
-  events_scheduled_.add();
   return id;
 }
 
@@ -63,7 +61,6 @@ bool Simulator::cancel(EventId id) {
   doomed.swap(callbacks_[slot_of(id)]);
   retire(id);  // the heap entry goes stale and is dropped when it surfaces
   --live_;
-  events_cancelled_.add();
   maybe_compact();
   return true;
 }
@@ -105,8 +102,6 @@ void Simulator::fire() {
   retire(entry.id);
   --live_;
   ++fired_count_;
-  events_fired_.add();
-  queue_depth_.set(static_cast<double>(live_));
   if (event_limit_ != 0 && fired_count_ > event_limit_) {
     throw InternalError{"simulator event limit exceeded (" +
                         std::to_string(event_limit_) +

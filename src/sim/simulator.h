@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/metrics.h"
 
 namespace vsplice::sim {
 
@@ -188,13 +187,6 @@ class Simulator {
   std::vector<std::uint32_t> generation_;  // per slot; starts at 1
   std::vector<std::function<void()>> callbacks_;  // per slot
   std::vector<std::uint32_t> free_slots_;
-
-  // Per-event metrics, resolved once per installed registry instead of
-  // by name on every schedule/fire.
-  obs::CachedCounter events_scheduled_{"sim.events_scheduled"};
-  obs::CachedCounter events_cancelled_{"sim.events_cancelled"};
-  obs::CachedCounter events_fired_{"sim.events_fired"};
-  obs::CachedGauge queue_depth_{"sim.queue_depth"};
 };
 
 /// Repeats a callback at a fixed period until stopped or destroyed.

@@ -1,7 +1,6 @@
 #include "streaming/playback_buffer.h"
 
 #include "common/error.h"
-#include "obs/metrics.h"
 
 namespace vsplice::streaming {
 
@@ -13,7 +12,6 @@ void PlaybackBuffer::mark_downloaded(std::size_t segment) {
   if (flags_[segment]) return;
   flags_[segment] = true;
   ++downloaded_;
-  obs::count("buffer.segments_marked");
   while (frontier_ < flags_.size() && flags_[frontier_]) ++frontier_;
 }
 

@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace vsplice::streaming {
@@ -40,8 +39,6 @@ void Player::on_segment_downloaded(std::size_t segment,
     }
     fetch_spans_[segment] = fetch_span;
   }
-  obs::set_gauge("player.buffer_level_s",
-                 buffer_.buffered_ahead(playhead()).as_seconds());
   switch (state_) {
     case State::WaitingForStart:
       if (session_started_) maybe_start_playback();
@@ -62,7 +59,6 @@ void Player::on_segment_downloaded(std::size_t segment,
         state_ = State::Playing;
         obs::close_span(stall_span_, sim_.now());
         stall_span_ = 0;
-        obs::observe("player.stall_duration_s", stalled.as_seconds());
         schedule_exhaustion();
         if (on_resume) on_resume();
       }
@@ -81,7 +77,6 @@ void Player::maybe_start_playback() {
   playback_span_ = obs::open_span(obs::SpanKind::kPlayback, sim_.now(), 0,
                                   config_.trace_id, -1,
                                   metrics_.startup_time.count_micros());
-  obs::observe("player.startup_s", metrics_.startup_time.as_seconds());
   begin_playing();
   if (on_started) on_started();
 }
@@ -153,7 +148,6 @@ void Player::handle_exhaustion() {
                                config_.trace_id,
                                static_cast<std::int64_t>(stall_segment_),
                                stall.playhead.count_micros());
-  obs::count("player.stalls");
   VSPLICE_DEBUG("player") << "stall #" << metrics_.stall_count << " at media "
                           << stall.playhead.to_string();
   if (on_stall) on_stall();
@@ -189,7 +183,6 @@ void Player::finish() {
   metrics_.finished = true;
   metrics_.completion_time = sim_.now() - session_start_;
   obs::close_span(playback_span_, sim_.now());
-  obs::count("player.finished");
   if (on_finished) on_finished();
 }
 

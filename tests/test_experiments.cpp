@@ -129,6 +129,9 @@ TEST(Scenario, RejectsBadConfig) {
   config.pair_loss = 1.0;
   EXPECT_THROW((void)run_scenario(config), InvalidArgument);
   config = small_config();
+  config.bandwidth = Rate::zero();
+  EXPECT_THROW((void)run_scenario(config), InvalidArgument);
+  config = small_config();
   config.loop_threads = 4;  // one serial event loop per run, nothing else
   EXPECT_THROW((void)run_scenario(config), InvalidArgument);
   EXPECT_THROW((void)run_repeated(small_config(), 0), InvalidArgument);

@@ -1,6 +1,5 @@
-// Observability stack: scoped installs, registry correctness, span-trace
-// JSONL round-trips, cross-run determinism, the trace as a view of the
-// record, and stall explanation.
+// Observability stack: span-trace JSONL round-trips, cross-run
+// determinism, the trace as a view of the record, and stall explanation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,88 +12,11 @@
 #include "common/strings.h"
 #include "experiments/paper_setup.h"
 #include "obs/exporters.h"
-#include "obs/metrics.h"
 
 namespace {
 
 using namespace vsplice;
 using namespace vsplice::obs;
-
-// ------------------------------------------------------------- scoping
-
-TEST(ScopedObs, InstallsAndRestoresNested) {
-  EXPECT_EQ(obs::metrics(), nullptr);
-  // Counting with nothing installed is a safe no-op.
-  count("nobody.home");
-
-  MetricsRegistry outer_registry;
-  {
-    ScopedObs outer{&outer_registry};
-    EXPECT_EQ(obs::metrics(), &outer_registry);
-    {
-      ScopedObs inner{nullptr};
-      count("lost.metric");  // no registry installed: dropped
-    }
-    // Inner scope ended: back to the outer registry.
-    count("outer.metric");
-  }
-  EXPECT_EQ(obs::metrics(), nullptr);
-  ASSERT_NE(outer_registry.find_counter("outer.metric"), nullptr);
-  EXPECT_EQ(outer_registry.find_counter("outer.metric")->value(), 1u);
-  EXPECT_EQ(outer_registry.find_counter("lost.metric"), nullptr);
-}
-
-// ------------------------------------------------------------- registry
-
-TEST(MetricsRegistry, CountersGaugesHistograms) {
-  MetricsRegistry registry;
-  registry.counter("a.count").add(2);
-  registry.counter("a.count").add(3);
-  EXPECT_EQ(registry.counter("a.count").value(), 5u);
-
-  registry.gauge("b.gauge").set(1.0);
-  registry.gauge("b.gauge").set(4.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("b.gauge").value(), 4.0);
-  EXPECT_EQ(registry.gauge("b.gauge").samples().count(), 2u);
-  EXPECT_DOUBLE_EQ(registry.gauge("b.gauge").samples().min(), 1.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("b.gauge").samples().max(), 4.0);
-
-  const HistogramSpec spec{0.0, 1.0, 10};
-  auto& hist = registry.histogram("c.hist", spec);
-  hist.observe(0.5);
-  hist.observe(2.5);
-  hist.observe(2.7);
-  EXPECT_EQ(hist.stats().count(), 3u);
-  EXPECT_EQ(hist.histogram().total_count(), 3u);
-
-  EXPECT_EQ(registry.size(), 3u);
-  const std::vector<std::string> names = registry.names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "a.count");  // sorted
-  EXPECT_EQ(names[1], "b.gauge");
-  EXPECT_EQ(names[2], "c.hist");
-}
-
-TEST(MetricsRegistry, NameCannotChangeKind) {
-  MetricsRegistry registry;
-  registry.counter("x");
-  EXPECT_ANY_THROW(registry.gauge("x"));
-  EXPECT_ANY_THROW(registry.histogram("x"));
-  registry.gauge("y");
-  EXPECT_ANY_THROW(registry.counter("y"));
-}
-
-TEST(MetricsRegistry, CsvIsSortedAndTyped) {
-  MetricsRegistry registry;
-  registry.gauge("zz").set(2.5);
-  registry.counter("aa").add(7);
-  const std::string csv = registry.to_csv();
-  const std::vector<std::string> lines = split(csv, '\n');
-  ASSERT_GE(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "metric,type,count,value,mean,min,max");
-  EXPECT_EQ(lines[1], "aa,counter,,7,,,");
-  EXPECT_EQ(lines[2], "zz,gauge,1,2.5,2.5,2.5,2.5");
-}
 
 // ---------------------------------------------------------------- JSONL
 
@@ -451,21 +373,6 @@ TEST(ScenarioObservability, TimelineSummaryLandsInTheResult) {
       experiments::run_scenario(config);
   EXPECT_NE(result.timeline.find("=== session timeline:"),
             std::string::npos);
-}
-
-TEST(ScenarioObservability, MetricsFlowIntoTheInstalledRegistry) {
-  MetricsRegistry registry;
-  {
-    ScopedObs scope{&registry};
-    (void)experiments::run_scenario(small_scenario());
-  }
-  ASSERT_NE(registry.find_counter("p2p.segments_received"), nullptr);
-  EXPECT_GT(registry.find_counter("p2p.segments_received")->value(), 0u);
-  ASSERT_NE(registry.find_counter("net.flows_completed"), nullptr);
-  ASSERT_NE(registry.find_counter("sim.events_fired"), nullptr);
-  ASSERT_NE(registry.find_histogram("p2p.segment_latency_s"), nullptr);
-  EXPECT_GT(
-      registry.find_histogram("p2p.segment_latency_s")->stats().count(), 0u);
 }
 
 }  // namespace

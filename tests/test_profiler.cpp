@@ -242,7 +242,7 @@ TEST(NanSerialization, SnapshotJsonEmitsNull) {
               std::numeric_limits<double>::infinity());
   RunInfo info;
   info.title = "poisoned-series test";
-  const ReportData report = build_report(std::move(info), store, {}, nullptr);
+  const ReportData report = build_report(std::move(info), store, {});
   const std::string json = render_json_snapshot(report);
   EXPECT_NE(json.find("null"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;

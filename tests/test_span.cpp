@@ -296,8 +296,8 @@ TEST(CriticalPath, ExplainStallsGainsSpanBackedPhase) {
   TimeSeriesStore store;
   RunInfo info;
   info.title = "critical-path test";
-  const ReportData data = build_report(std::move(info), store,
-                                       recorder.spans(), nullptr);
+  const ReportData data =
+      build_report(std::move(info), store, recorder.spans());
   ASSERT_EQ(data.stalls.size(), 1u);
   EXPECT_EQ(data.stalls[0].critical_phase, "server_queue");
   ASSERT_FALSE(data.waterfall.empty());
