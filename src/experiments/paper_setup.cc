@@ -181,9 +181,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       std::shared_ptr<const core::SegmentIndex>{content, &content->index},
       std::shared_ptr<const std::string>{content, &content->playlist_text}};
   swarm.set_brute_force_oracle(config.brute_force_scheduling);
+  // Only ever switched on here: the swarm already starts in oracle mode
+  // when VSPLICE_WIRE_ROUNDTRIP=1.
+  if (config.wire_roundtrip) swarm.set_codec_roundtrip(true);
   p2p::PeerConfig peer_config;
   peer_config.max_upload_slots = config.upload_slots;
-  peer_config.codec_roundtrip = config.wire_roundtrip;
   swarm.add_seeder(seeder_node, peer_config);
 
   const auto policy = std::shared_ptr<const core::PoolPolicy>(
@@ -291,7 +293,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.segment_picks += sched.segment_picks;
     result.holder_picks += sched.holder_picks;
     result.candidates_scanned += sched.candidates_scanned;
-    result.scheduling_engine_ns += sched.engine_ns;
     result.control_have_updates += leecher->control_stats().have_updates;
   }
   result.pieces_aborted = swarm.stats().pieces_aborted;
@@ -308,7 +309,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   result.heap_compactions = sim.heap_compactions();
   const net::NetworkStats& net_stats = network.stats();
   result.reallocations = net_stats.reallocations;
-  result.reallocations_scoped = net_stats.reallocations_scoped;
+  // No finite hub exists, so every reallocation walks the dirty set.
+  result.reallocations_scoped = net_stats.reallocations;
   result.flows_retouched = net_stats.flows_retouched;
   result.reallocate_touched_flows_ratio =
       net_stats.flows_active_integral > 0

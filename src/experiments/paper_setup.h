@@ -56,11 +56,10 @@ struct ScenarioConfig {
   bool churn = false;
   Duration churn_mean_lifetime = Duration::seconds(90.0);
 
-  /// Run the retained pre-optimization scheduling path (linear
-  /// segment/peer scans, linear swarm lookups, full availability
-  /// rebuilds) instead of the incremental structures. The differential
-  /// tests and the scaling benchmark use it as the oracle: for any size
-  /// the two paths must produce identical results, only slower.
+  /// Run the retained pre-optimization scheduling decisions (linear
+  /// segment/peer scans) instead of the incremental structures. The
+  /// differential tests use it as the oracle: for any size the two paths
+  /// must produce identical results.
   bool brute_force_scheduling = false;
   /// Run the retained full-rescan reallocation oracle (every flow's rate
   /// recomputed on every flow event) instead of the scoped dirty-set
@@ -74,9 +73,9 @@ struct ScenarioConfig {
   std::size_t announce_max_peers = 50;
   /// Wire-format oracle: route every control message through
   /// encode→decode and assert the decoded message equals the original
-  /// (PeerConfig::codec_roundtrip on every peer). Results are
-  /// byte-identical to the fast path, only slower; the differential
-  /// test pins that. Also enabled by VSPLICE_WIRE_ROUNDTRIP=1.
+  /// (Swarm::set_codec_roundtrip). Results are byte-identical to the
+  /// fast path, only slower; the differential test pins that. Also
+  /// enabled by VSPLICE_WIRE_ROUNDTRIP=1.
   bool wire_roundtrip = false;
 
   /// Must be 1: every run has one serial event loop (run_scenario
@@ -181,10 +180,6 @@ struct ScenarioResult {
   std::uint64_t segment_picks = 0;
   std::uint64_t holder_picks = 0;
   std::uint64_t candidates_scanned = 0;
-  /// Real wall time spent inside segment/holder selection, summed over
-  /// all viewers. Not deterministic (it is a clock, not a counter) —
-  /// excluded from the identity comparisons, reported by bench_scale.
-  std::uint64_t scheduling_engine_ns = 0;
 
   /// HAVE wire messages sent, summed over all viewers: one per
   /// (completed segment, established control connection).
@@ -195,11 +190,13 @@ struct ScenarioResult {
   std::size_t heap_high_water = 0;
   /// Garbage-triggered event-heap rebuilds (DESIGN.md §16).
   std::uint64_t heap_compactions = 0;
-  /// Scoped-reallocation health (DESIGN.md §16): scoped recomputes, the
-  /// flows they touched vs the full-rescan equivalent
-  /// (reallocate_touched_flows_ratio = retouched / active integral; 1.0
-  /// under the full-rescan oracle), and lazy settlements per event.
+  /// Scoped-reallocation health (DESIGN.md §16): recomputes, the flows
+  /// they touched vs the full-rescan equivalent
+  /// (reallocate_touched_flows_ratio = retouched / active integral), and
+  /// lazy settlements per event.
   std::uint64_t reallocations = 0;
+  /// Always equal to `reallocations` (every reallocation is scoped);
+  /// kept only because the repository benchmark (perfbench/) reads it.
   std::uint64_t reallocations_scoped = 0;
   std::uint64_t flows_retouched = 0;
   double reallocate_touched_flows_ratio = 0;
@@ -217,7 +214,7 @@ struct ScenarioResult {
 
   /// Hot-path call-tree (empty unless ScenarioConfig::profile or
   /// VSPLICE_PROFILE=1). Wall nanoseconds: NOT deterministic, excluded
-  /// from identity comparisons like scheduling_engine_ns.
+  /// from identity comparisons.
   obs::ProfileSnapshot profile;
 
   /// Per-phase latency waterfall over every delivered segment (empty

@@ -19,11 +19,9 @@ constexpr double kDoneTolerance = 1e-3;
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 }  // namespace
 
-Network::Network(sim::Simulator& sim, TcpParams tcp)
-    : sim_{sim}, tcp_{tcp} {
+Network::Network(sim::Simulator& sim) : sim_{sim} {
   // Link 0 is the hub trunk; infinite = non-blocking switch.
   link_capacity_.push_back(Rate::infinity());
-  effective_capacity_.push_back(Rate::infinity());
   link_flows_.emplace_back();
   link_mark_.push_back(0);
   link_remap_mark_.push_back(0);
@@ -39,7 +37,6 @@ NodeId Network::add_node(const NodeSpec& spec) {
   nodes_.push_back(spec);
   for (const Rate capacity : {spec.uplink, spec.downlink}) {
     link_capacity_.push_back(capacity);
-    effective_capacity_.push_back(capacity);
     link_flows_.emplace_back();
     link_mark_.push_back(0);
     link_remap_mark_.push_back(0);
@@ -73,25 +70,6 @@ LinkId Network::downlink_of(NodeId id) const {
   return LinkId{2 + 2 * id.value};
 }
 
-Rate Network::derated_capacity(LinkId link, std::size_t flows) const {
-  const Rate raw = link_capacity_[link.value];
-  if (tcp_.parallel_loss_factor <= 0.0 || flows <= 1 || raw.is_infinite())
-    return raw;
-  const double factor =
-      1.0 + tcp_.parallel_loss_factor * static_cast<double>(flows - 1);
-  return raw / factor;
-}
-
-void Network::set_hub_capacity(Rate capacity) {
-  require(capacity >= Rate::zero(), "hub capacity must be non-negative");
-  link_capacity_[0] = capacity;
-  effective_capacity_[0] = capacity;
-  // The old constraint may have throttled any flow (and while finite,
-  // the trunk couples every flow into one component anyway): rescan all.
-  pending_full_ = true;
-  reallocate();
-}
-
 void Network::set_node_bandwidth(NodeId id, Rate uplink, Rate downlink) {
   require(uplink >= Rate::zero() && downlink >= Rate::zero(),
           "bandwidth must be non-negative");
@@ -101,9 +79,6 @@ void Network::set_node_bandwidth(NodeId id, Rate uplink, Rate downlink) {
   const LinkId down = downlink_of(id);
   link_capacity_[up.value] = uplink;
   link_capacity_[down.value] = downlink;
-  effective_capacity_[up.value] = uplink;  // uplinks are never derated
-  effective_capacity_[down.value] =
-      derated_capacity(down, link_flows_[down.value].size());
   // Capacity changed: flows on these links must be recomputed even if
   // the new capacity is infinite (the old one may have throttled them).
   seed_force_links_.push_back(up.value);
@@ -133,8 +108,6 @@ void Network::link_flow(std::uint32_t slot) {
   auto& down_list = link_flows_[down];
   flow.down_pos = static_cast<std::uint32_t>(down_list.size());
   down_list.push_back(slot);
-  effective_capacity_[down] =
-      derated_capacity(LinkId{down}, down_list.size());
   seed_links_.push_back(up);
   seed_links_.push_back(down);
 }
@@ -152,8 +125,6 @@ void Network::unlink_flow(const Flow& flow) {
   down_list.pop_back();
   if (flow.down_pos < down_list.size())
     flows_[down_list[flow.down_pos]].down_pos = flow.down_pos;
-  effective_capacity_[down] =
-      derated_capacity(LinkId{down}, down_list.size());
   seed_links_.push_back(up);
   seed_links_.push_back(down);
 }
@@ -218,7 +189,6 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size, Rate cap,
   Flow& flow = flows_[slot];
   flow.src = src;
   flow.dst = dst;
-  flow.started = sim_.now();
   flow.last_advanced = sim_.now();
   flow.total = static_cast<double>(size);
   flow.remaining = static_cast<double>(size);
@@ -390,26 +360,6 @@ void Network::settle_flow(Flow& flow) {
   ++stats_.flows_settled;
 }
 
-void Network::compute_effective_capacities() {
-  scratch_capacity_.assign(link_capacity_.begin(), link_capacity_.end());
-  if (tcp_.parallel_loss_factor <= 0.0 || active_flow_count() == 0) return;
-  // Count concurrent flows per downlink (link ids 2, 4, 6, ... — the
-  // receiver side, where a streaming client's parallel downloads pile
-  // up) and derate the aggregate goodput accordingly.
-  downlink_flows_.assign(link_capacity_.size(), 0);
-  for (const std::uint32_t slot : flow_order_) {
-    if (slot == kNoSlot) continue;
-    ++downlink_flows_[downlink_of(flows_[slot].dst).value];
-  }
-  for (std::size_t l = 2; l < downlink_flows_.size(); l += 2) {
-    const std::uint32_t n = downlink_flows_[l];
-    if (n <= 1 || scratch_capacity_[l].is_infinite()) continue;
-    const double factor =
-        1.0 + tcp_.parallel_loss_factor * static_cast<double>(n - 1);
-    scratch_capacity_[l] = scratch_capacity_[l] / factor;
-  }
-}
-
 void Network::reallocate() {
   VSPLICE_PROFILE_SCOPE("net.reallocate");
   check_invariant(!in_reallocate_, "reallocate is not reentrant");
@@ -417,109 +367,51 @@ void Network::reallocate() {
   ++stats_.reallocations;
   stats_.flows_active_integral += active_flow_count();
 
-  // A finite hub trunk couples every flow into one component, so the
-  // scoped walk would visit everything anyway: force the full path in
-  // BOTH modes (this keeps the diagnostic counters mode-independent).
-  const bool forced_full =
-      pending_full_ || !effective_capacity_[0].is_infinite();
-  pending_full_ = false;
-
+  // Dirty-set closure (DESIGN.md §16): flows couple only through
+  // finite-capacity links, so walk link -> flows -> other links,
+  // expanding finite links (plus the force-seeded ones whose capacity
+  // just changed) until the component is closed.
+  const std::uint64_t epoch = ++component_epoch_;
   scratch_specs_.clear();
   scratch_slots_.clear();
-  bool solved = false;  // a compact subproblem was already allocated
-  if (!forced_full) {
-    ++stats_.reallocations_scoped;
-    // Dirty-set closure (DESIGN.md §16): flows couple only through
-    // finite-capacity links, so walk link -> flows -> other links,
-    // expanding finite links (plus the force-seeded ones whose raw
-    // capacity just changed) until the component is closed.
-    const std::uint64_t epoch = ++component_epoch_;
-    link_stack_.clear();
-    const auto couples = [&](std::uint32_t l) {
-      return !effective_capacity_[l].is_infinite();
-    };
-    const auto push_link = [&](std::uint32_t l) {
-      if (link_mark_[l] == epoch) return;
-      link_mark_[l] = epoch;
-      link_stack_.push_back(l);
-    };
-    const auto add_flow = [&](std::uint32_t slot) {
-      Flow& flow = flows_[slot];
-      if (flow.mark == epoch) return;
-      flow.mark = epoch;
-      scratch_slots_.push_back(slot);
-      const std::uint32_t up = uplink_of(flow.src).value;
-      const std::uint32_t down = downlink_of(flow.dst).value;
-      if (couples(up)) push_link(up);
-      if (couples(down)) push_link(down);
-    };
-    for (const std::uint32_t l : seed_force_links_) push_link(l);
-    for (const std::uint32_t l : seed_links_)
-      if (couples(l)) push_link(l);
-    seed_force_links_.clear();
-    seed_links_.clear();
-    for (const std::uint32_t slot : seed_flows_) add_flow(slot);
-    seed_flows_.clear();
-    while (!link_stack_.empty()) {
-      const std::uint32_t l = link_stack_.back();
-      link_stack_.pop_back();
-      for (const std::uint32_t slot : link_flows_[l]) add_flow(slot);
-    }
-    stats_.flows_retouched += scratch_slots_.size();
-    if (!full_reallocation_) {
-      if (scratch_slots_.size() > 1) {
-        // The allocator fixes rates in index order, so the component
-        // must be in start order, exactly like the full path: one pass
-        // over the start-ordered list replaces the BFS discovery order.
-        scratch_slots_.clear();
-        for (const std::uint32_t slot : flow_order_) {
-          if (slot != kNoSlot && flows_[slot].mark == epoch)
-            scratch_slots_.push_back(slot);
-        }
-      }
-      if (!scratch_slots_.empty()) {
-        // Compact subproblem: remap the component's links to dense ids
-        // (hub stays 0) and allocate over those alone. Link order is
-        // irrelevant to the result — per-round levels are value-mins and
-        // the fix order is the (start-ordered) flow order.
-        scratch_capacity_.clear();
-        scratch_capacity_.push_back(effective_capacity_[0]);
-        const auto compact_of = [&](std::uint32_t l) {
-          if (link_remap_mark_[l] != epoch) {
-            link_remap_mark_[l] = epoch;
-            link_compact_[l] =
-                static_cast<std::uint32_t>(scratch_capacity_.size());
-            scratch_capacity_.push_back(effective_capacity_[l]);
-          }
-          return link_compact_[l];
-        };
-        for (const std::uint32_t slot : scratch_slots_) {
-          const Flow& flow = flows_[slot];
-          scratch_specs_.push_back(
-              StarFlowSpec{compact_of(uplink_of(flow.src).value),
-                           compact_of(downlink_of(flow.dst).value), flow.cap});
-        }
-        allocator_.allocate(scratch_specs_, scratch_capacity_,
-                            scratch_rates_);
-      }
-      solved = true;
-    } else {
-      // Oracle mode: the dirty-set walk above ran for its counters only
-      // — flipping VSPLICE_FULL_REALLOC on must change nothing
-      // observable but wall time. Discard the component and rescan.
-      scratch_slots_.clear();
-    }
-  } else {
-    seed_links_.clear();
-    seed_force_links_.clear();
-    seed_flows_.clear();
-    stats_.flows_retouched += active_flow_count();
+  link_stack_.clear();
+  const auto couples = [&](std::uint32_t l) {
+    return !link_capacity_[l].is_infinite();
+  };
+  const auto push_link = [&](std::uint32_t l) {
+    if (link_mark_[l] == epoch) return;
+    link_mark_[l] = epoch;
+    link_stack_.push_back(l);
+  };
+  const auto add_flow = [&](std::uint32_t slot) {
+    Flow& flow = flows_[slot];
+    if (flow.mark == epoch) return;
+    flow.mark = epoch;
+    scratch_slots_.push_back(slot);
+    const std::uint32_t up = uplink_of(flow.src).value;
+    const std::uint32_t down = downlink_of(flow.dst).value;
+    if (couples(up)) push_link(up);
+    if (couples(down)) push_link(down);
+  };
+  for (const std::uint32_t l : seed_force_links_) push_link(l);
+  for (const std::uint32_t l : seed_links_)
+    if (couples(l)) push_link(l);
+  seed_force_links_.clear();
+  seed_links_.clear();
+  for (const std::uint32_t slot : seed_flows_) add_flow(slot);
+  seed_flows_.clear();
+  while (!link_stack_.empty()) {
+    const std::uint32_t l = link_stack_.back();
+    link_stack_.pop_back();
+    for (const std::uint32_t slot : link_flows_[l]) add_flow(slot);
   }
-  if (!solved) {
-    // Independent recomputation of the derated capacities — the scoped
-    // path's incrementally-maintained effective_capacity_ must agree
-    // (the differential suite compares the resulting rates).
-    compute_effective_capacities();
+  stats_.flows_retouched += scratch_slots_.size();
+
+  if (full_reallocation_) {
+    // Oracle mode: the dirty-set walk above ran for its counters only
+    // — flipping VSPLICE_FULL_REALLOC on must change nothing
+    // observable but wall time. Discard the component and rescan.
+    scratch_slots_.clear();
     for (const std::uint32_t slot : flow_order_) {  // start order
       if (slot == kNoSlot) continue;
       const Flow& flow = flows_[slot];
@@ -528,7 +420,42 @@ void Network::reallocate() {
                                             flow.cap});
       scratch_slots_.push_back(slot);
     }
-    allocator_.allocate(scratch_specs_, scratch_capacity_, scratch_rates_);
+    allocator_.allocate(scratch_specs_, link_capacity_, scratch_rates_);
+  } else {
+    if (scratch_slots_.size() > 1) {
+      // The allocator fixes rates in index order, so the component must
+      // be in start order, exactly like the full path: one pass over the
+      // start-ordered list replaces the BFS discovery order.
+      scratch_slots_.clear();
+      for (const std::uint32_t slot : flow_order_) {
+        if (slot != kNoSlot && flows_[slot].mark == epoch)
+          scratch_slots_.push_back(slot);
+      }
+    }
+    if (!scratch_slots_.empty()) {
+      // Compact subproblem: remap the component's links to dense ids
+      // (hub stays 0) and allocate over those alone. Link order is
+      // irrelevant to the result — per-round levels are value-mins and
+      // the fix order is the (start-ordered) flow order.
+      scratch_capacity_.clear();
+      scratch_capacity_.push_back(link_capacity_[0]);
+      const auto compact_of = [&](std::uint32_t l) {
+        if (link_remap_mark_[l] != epoch) {
+          link_remap_mark_[l] = epoch;
+          link_compact_[l] =
+              static_cast<std::uint32_t>(scratch_capacity_.size());
+          scratch_capacity_.push_back(link_capacity_[l]);
+        }
+        return link_compact_[l];
+      };
+      for (const std::uint32_t slot : scratch_slots_) {
+        const Flow& flow = flows_[slot];
+        scratch_specs_.push_back(
+            StarFlowSpec{compact_of(uplink_of(flow.src).value),
+                         compact_of(downlink_of(flow.dst).value), flow.cap});
+      }
+      allocator_.allocate(scratch_specs_, scratch_capacity_, scratch_rates_);
+    }
   }
 
   for (std::size_t i = 0; i < scratch_slots_.size(); ++i) {

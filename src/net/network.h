@@ -75,15 +75,11 @@ struct NetworkStats {
   std::uint64_t flows_completed = 0;
   std::uint64_t flows_aborted = 0;
   std::uint64_t reallocations = 0;
-  /// Reallocations whose dirty-set walk produced a scoped component,
-  /// i.e. not forced full by a finite hub. The walk (and this counter)
-  /// runs identically under the full-rescan oracle, so flipping the
-  /// oracle on changes nothing observable but wall time.
-  std::uint64_t reallocations_scoped = 0;
-  /// Size of the dirty component, summed over all reallocations
-  /// (forced-full reallocations contribute the whole table).
+  /// Size of the dirty component, summed over all reallocations.
   /// flows_retouched / flows_active_integral is the touched-flows
-  /// ratio: < 1 when scoping pays. Mode-independent, like above.
+  /// ratio: < 1 when scoping pays. The walk (and this counter) runs
+  /// identically under the full-rescan oracle, so flipping the oracle
+  /// on changes nothing observable but wall time.
   std::uint64_t flows_retouched = 0;
   /// Active flows at each reallocation, summed — the work a full rescan
   /// would have done.
@@ -103,7 +99,7 @@ struct NetworkStats {
 
 class Network {
  public:
-  explicit Network(sim::Simulator& sim, TcpParams tcp = {});
+  explicit Network(sim::Simulator& sim);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -112,12 +108,6 @@ class Network {
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const NodeSpec& node(NodeId id) const;
-
-  /// Capacity of the shared hub trunk every flow crosses (infinite by
-  /// default, matching a non-blocking switch). A finite hub couples every
-  /// flow into one component, so reallocation falls back to full rescans
-  /// while it is set.
-  void set_hub_capacity(Rate capacity);
 
   /// Reshapes a host's access link mid-run (variable-bandwidth
   /// experiments); in-flight flows are re-allocated immediately.
@@ -174,16 +164,17 @@ class Network {
   [[nodiscard]] double bytes_delivered() const;
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
+  /// The TCP model every Connection on this network runs (defaults).
   [[nodiscard]] const TcpParams& tcp() const { return tcp_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Bytes held by the flow table (slots, generations, free list and
-  /// start-ordered list), per-node accounting, per-link flow indexes,
-  /// connection registry and effective-capacity slab (capacity-based;
-  /// see obs/resource.h). Reallocation/query scratch is deliberately
-  /// excluded: its high-water mark depends on whether the scoped path or
-  /// the full-rescan oracle ran, and accounting it would break the
-  /// scoped/full byte-identity of ScenarioResult.
+  /// start-ordered list), per-node accounting, per-link flow indexes
+  /// and connection registry (capacity-based; see obs/resource.h).
+  /// Reallocation/query scratch is deliberately excluded: its high-water
+  /// mark depends on whether the scoped path or the full-rescan oracle
+  /// ran, and accounting it would break the scoped/full byte-identity of
+  /// ScenarioResult.
   [[nodiscard]] std::uint64_t memory_bytes() const {
     std::uint64_t link_lists = 0;
     for (const auto& list : link_flows_) {
@@ -196,8 +187,7 @@ class Network {
                                       flow_order_.capacity()) *
                sizeof(std::uint32_t) +
            static_cast<std::uint64_t>(nodes_.capacity()) * sizeof(NodeSpec) +
-           static_cast<std::uint64_t>(link_capacity_.capacity() +
-                                      effective_capacity_.capacity()) *
+           static_cast<std::uint64_t>(link_capacity_.capacity()) *
                sizeof(Rate) +
            static_cast<std::uint64_t>(uploaded_.capacity() +
                                       downloaded_.capacity()) *
@@ -231,7 +221,6 @@ class Network {
   struct Flow {
     NodeId src;
     NodeId dst;
-    TimePoint started;
     /// Lazy progress (DESIGN.md §16): `remaining` is exact as of
     /// last_advanced; since then the flow accrues at `rate`. settle_flow
     /// folds the accrual in; accrued_bytes reads it without mutating.
@@ -283,25 +272,16 @@ class Network {
   /// order (deterministic FP accumulation for the query paths).
   [[nodiscard]] double accrued_on_link(LinkId link) const;
 
-  /// Derated goodput of a link given its concurrent-flow count (the
-  /// parallel-TCP penalty applies to finite downlinks only).
-  [[nodiscard]] Rate derated_capacity(LinkId link, std::size_t flows) const;
-  /// Inserts the flow into its two link lists, refreshes the
-  /// destination downlink's derated capacity, and seeds the dirty set.
+  /// Inserts the flow into its two link lists and seeds the dirty set
+  /// with both links.
   void link_flow(std::uint32_t slot);
   /// Swap-removes the flow from its two link lists; otherwise as above.
   void unlink_flow(const Flow& flow);
 
-  /// Fills scratch_capacity_ with link capacities, derating
-  /// oversubscribed downlinks by the parallel-TCP goodput penalty —
-  /// the full-rescan oracle's independent recomputation (the scoped
-  /// path maintains effective_capacity_ incrementally instead; the
-  /// differential suite proves they agree).
-  void compute_effective_capacities();
   /// Recomputes fair shares for the dirty component (or every flow, in
-  /// full-rescan mode / while the hub trunk is finite); settles and
-  /// reschedules completion events only for flows whose rate changed
-  /// (or that lack a needed event). Consumes the pending dirty seeds.
+  /// full-rescan mode); settles and reschedules completion events only
+  /// for flows whose rate changed (or that lack a needed event).
+  /// Consumes the pending dirty seeds.
   void reallocate();
   void schedule_completion(FlowId id, Flow& flow);
   /// Removes the flow (settling it and cancelling its event) and records
@@ -312,13 +292,11 @@ class Network {
   void credit_transfer(const Flow& flow, double bytes);
 
   sim::Simulator& sim_;
-  TcpParams tcp_;
+  const TcpParams tcp_{};
   std::vector<NodeSpec> nodes_;
-  /// link 0 = hub trunk; node i has uplink 1+2i, downlink 2+2i.
+  /// link 0 = hub trunk (always infinite: a non-blocking switch);
+  /// node i has uplink 1+2i, downlink 2+2i.
   std::vector<Rate> link_capacity_;
-  /// link_capacity_ with the parallel-TCP downlink derate applied,
-  /// maintained incrementally as flows come and go (DESIGN.md §16).
-  std::vector<Rate> effective_capacity_;
   /// Dense flow table (DESIGN.md §16): FlowId = slot << 32 | generation,
   /// like sim::EventId and the connection registry, so lookup is O(1)
   /// and a stale id misses. flow_order_ lists the live slots in start
@@ -334,9 +312,6 @@ class Network {
   NetworkStats stats_;
   bool in_reallocate_ = false;
   bool full_reallocation_ = false;
-  /// One full rescan owed (hub capacity changed: the old constraint may
-  /// have throttled any flow).
-  bool pending_full_ = false;
 
   /// Connection registry: pointer per slot, generation per slot, free
   /// slots (MessagePool-style freelist; see register_connection).
@@ -346,8 +321,8 @@ class Network {
 
   /// Per-link flow index: the slots of the flows crossing each access
   /// link (unordered; swap-remove keeps removal O(1), up_pos/down_pos
-  /// track positions). The hub trunk's entry (link 0) stays empty — a
-  /// finite hub couples everything and forces the full-rescan path.
+  /// track positions). The hub trunk's entry (link 0) stays empty: an
+  /// infinite link couples nothing.
   std::vector<std::vector<std::uint32_t>> link_flows_;
 
   // Dirty-set seeds, consumed by the next reallocate().
@@ -365,7 +340,6 @@ class Network {
   // Reallocation scratch (steady-state: zero allocations per call).
   StarAllocator allocator_;
   std::vector<Rate> scratch_capacity_;
-  std::vector<std::uint32_t> downlink_flows_;   // full-rescan tally, per link
   std::vector<StarFlowSpec> scratch_specs_;
   std::vector<Rate> scratch_rates_;
   std::vector<std::uint32_t> scratch_slots_;    // the solved flows, in order

@@ -45,14 +45,6 @@ struct TcpParams {
   Duration retransmission_timeout = Duration::seconds(1.0);
   /// Slow-start growth factor per RTT (2 = classic doubling).
   double slow_start_growth = 2.0;
-  /// Goodput degradation per *additional* concurrent connection sharing
-  /// a receiver's shaped access link: n parallel downloads deliver only
-  /// capacity / (1 + f*(n-1)) in aggregate. Models the retransmission
-  /// and timeout overhead of parallel TCP fighting over one token-bucket
-  /// queue under loss — the paper's "a large pool size increases the
-  /// network overload in the peer's network" (Section VI-B). Off by
-  /// default (ideal fluid sharing); the pooling ablation enables it.
-  double parallel_loss_factor = 0.0;
 };
 
 /// Steady-state throughput ceiling of one TCP connection under random

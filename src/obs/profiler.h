@@ -18,10 +18,9 @@
 // Determinism: the profiler only *reads* the wall clock and writes into
 // its own vectors. It never touches RNG state, simulated time, or any
 // container the simulation iterates — enabling it cannot perturb figure
-// output (same contract as SchedulerStats::engine_ns). Snapshot entries
-// are ordered by a DFS with children sorted by name, so the *structure*
-// of a report is deterministic even though the nanosecond values are
-// wall-clock measurements.
+// output. Snapshot entries are ordered by a DFS with children sorted by
+// name, so the *structure* of a report is deterministic even though the
+// nanosecond values are wall-clock measurements.
 //
 // Threading: like the span recorder, installation is per-thread
 // (detail::g_profiler). Each ParallelRunner worker installs its own

@@ -73,7 +73,6 @@ struct SwarmObservation {
   /// Scoped-reallocation health, read from the run's Network (see
   /// DESIGN.md §16): recomputed flows vs the full-rescan equivalent, and
   /// lazy settlements vs events fired.
-  std::uint64_t reallocations_scoped = 0;
   std::uint64_t flows_retouched = 0;
   std::uint64_t flows_active_integral = 0;
   std::uint64_t flows_settled = 0;

@@ -1,7 +1,6 @@
 #include "p2p/leecher.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/error.h"
@@ -9,29 +8,6 @@
 #include "obs/profiler.h"
 #include "obs/span.h"
 #include "p2p/swarm.h"
-
-namespace {
-// Accumulates real wall time spent inside a scheduling decision into
-// SchedulerStats::engine_ns. A decision runs microseconds at most, so
-// the two clock reads are noise next to either selection path.
-class EngineTimer {
- public:
-  explicit EngineTimer(std::uint64_t& acc)
-      : acc_{acc}, start_{std::chrono::steady_clock::now()} {}
-  EngineTimer(const EngineTimer&) = delete;
-  EngineTimer& operator=(const EngineTimer&) = delete;
-  ~EngineTimer() {
-    acc_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
- private:
-  std::uint64_t& acc_;
-  std::chrono::steady_clock::time_point start_;
-};
-}  // namespace
 
 namespace vsplice::p2p {
 
@@ -341,7 +317,6 @@ void Leecher::schedule_downloads() {
 
 std::optional<std::size_t> Leecher::next_segment_to_fetch() {
   VSPLICE_PROFILE_SCOPE("p2p.pick_segment");
-  const EngineTimer timer{sched_.engine_ns};
   ++sched_.segment_picks;
   const auto& buffer = player_->buffer();
   if (swarm_.brute_force_oracle()) {
@@ -377,7 +352,6 @@ void Leecher::start_download(std::size_t segment) {
 std::optional<net::NodeId> Leecher::pick_holder(
     std::size_t segment, const std::set<net::NodeId>& excluded) {
   VSPLICE_PROFILE_SCOPE("p2p.pick_holder");
-  const EngineTimer timer{sched_.engine_ns};
   ++sched_.holder_picks;
   const TimePoint now = swarm_.simulator().now();
   std::vector<net::NodeId> fresh;
@@ -393,8 +367,9 @@ std::optional<net::NodeId> Leecher::pick_holder(
     const Bitfield& have = slots_[slot];
     if (segment >= have.size() || !have.get(segment)) return;
     if (swarm_.brute_force_oracle()) {
-      // The oracle keeps the original peer-object lookup so its measured
-      // cost stays what the pre-optimization code paid.
+      // The oracle reads liveness from the peer object itself, not from
+      // the node_online() byte table, so a table that drifts from the
+      // peers shows up as a differential failure.
       const Peer* remote = swarm_.find(peer);
       if (remote == nullptr || !remote->online()) return;
     } else if (!swarm_.node_online(peer)) {

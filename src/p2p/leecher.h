@@ -47,15 +47,12 @@ struct LeecherConfig {
 
 /// Counters for the scheduling hot path; the scaling benchmark reports
 /// these so "how much work did a decision cost" is visible directly.
-/// `engine_ns` is real wall time spent inside the two decision
-/// functions (segment + holder selection) — the code this engine
-/// replaced — so the benchmark can compare scheduling cost directly
-/// even when the surrounding network simulation dominates the run.
+/// Wall time per decision comes from the profiler's p2p.pick_segment and
+/// p2p.pick_holder scopes.
 struct SchedulerStats {
   std::uint64_t segment_picks = 0;
   std::uint64_t holder_picks = 0;
   std::uint64_t candidates_scanned = 0;
-  std::uint64_t engine_ns = 0;
 };
 
 /// Control-plane accounting: one update is one HAVE wire message, a

@@ -7,6 +7,15 @@
 
 namespace vsplice::p2p {
 
+namespace {
+/// Requests held waiting for a free slot (BitTorrent peers keep the
+/// connection open and serve when unchoked rather than refusing). Kept
+/// deliberately short: beyond it the peer CHOKEs so excess demand
+/// redistributes to other holders instead of serializing behind one
+/// busy uplink.
+constexpr std::size_t kMaxRequestQueue = 1;
+}  // namespace
+
 Peer::Peer(Swarm& swarm, net::NodeId node, PeerConfig config)
     : swarm_{swarm},
       node_{node},
@@ -93,7 +102,7 @@ void Peer::on_request(net::NodeId from, net::Connection& conn,
     serve_piece(conn, msg);
     return;
   }
-  if (request_queue_.size() < config_.max_request_queue) {
+  if (request_queue_.size() < kMaxRequestQueue) {
     // Hold the request; the requester waits on the open connection and
     // is served when a slot frees (BitTorrent-style unchoking).
     ++stats_.requests_queued;
@@ -143,7 +152,7 @@ void Peer::send_sized(net::Connection& conn, const Message& message,
                       Bytes wire_size) {
   const net::NodeId to =
       conn.client() == node_ ? conn.server() : conn.client();
-  if (config_.codec_roundtrip || swarm_.codec_roundtrip()) {
+  if (swarm_.codec_roundtrip()) {
     // Oracle mode: serialize now, parse at delivery, assert equality.
     // The charged size is the same wire_size the fast path uses, so the
     // two modes schedule identical network events.

@@ -25,20 +25,6 @@ struct PeerConfig {
   /// Concurrent uploads a peer serves before choking new requests. The
   /// paper's "selfish peers" future-work knob: lower = more selfish.
   int max_upload_slots = 5;
-  /// Requests held waiting for a free slot (BitTorrent peers keep the
-  /// connection open and serve when unchoked rather than refusing).
-  /// Kept deliberately short: beyond it the peer CHOKEs so excess demand
-  /// redistributes to other holders instead of serializing behind one
-  /// busy uplink.
-  std::size_t max_request_queue = 1;
-  /// Wire-format oracle mode: every send is routed through
-  /// encode→decode and the decoded message is asserted equal to the
-  /// original before dispatch. The fast path (default) moves the
-  /// Message variant through the delivery queue with no codec work;
-  /// both paths charge the connection the same encoded byte count, so
-  /// results are byte-identical either way. Also enabled process-wide
-  /// by VSPLICE_WIRE_ROUNDTRIP=1.
-  bool codec_roundtrip = false;
 };
 
 struct PeerStats {
@@ -98,9 +84,9 @@ class Peer {
 
   /// Sends `message` over `conn` from this peer, charging the
   /// connection the exact encoded byte count. On the fast path the
-  /// Message variant itself travels through a pool node; in
-  /// codec_roundtrip mode it is encoded, decoded on delivery, and
-  /// asserted equal (the wire-format oracle).
+  /// Message variant itself travels through a pool node; in the
+  /// swarm's codec_roundtrip mode it is encoded, decoded on delivery,
+  /// and asserted equal (the wire-format oracle).
   void send(net::Connection& conn, const Message& message);
 
   /// `send` with the encoded size precomputed — broadcast fan-out

@@ -89,25 +89,10 @@ Leecher& Swarm::add_leecher(net::NodeId node, PeerConfig peer_config,
 }
 
 Peer* Swarm::find(net::NodeId node) {
-  if (brute_force_) {
-    // Retained pre-change lookup, kept as the oracle's cost model. The
-    // null check only matters during ~Swarm, where entries are reset in
-    // place.
-    for (auto& peer : peers_) {
-      if (peer != nullptr && peer->node() == node) return peer.get();
-    }
-    return nullptr;
-  }
   return node.value < by_node_.size() ? by_node_[node.value] : nullptr;
 }
 
 const Peer* Swarm::find(net::NodeId node) const {
-  if (brute_force_) {
-    for (const auto& peer : peers_) {
-      if (peer != nullptr && peer->node() == node) return peer.get();
-    }
-    return nullptr;
-  }
   return node.value < by_node_.size() ? by_node_[node.value] : nullptr;
 }
 
@@ -176,21 +161,7 @@ obs::MemoryBreakdown Swarm::memory_breakdown() const {
 obs::SwarmObservation Swarm::observe() const {
   VSPLICE_PROFILE_SCOPE("swarm.observe");
   obs::SwarmObservation out;
-  if (brute_force_) {
-    // Retained pre-change histogram rebuild: every online peer's
-    // bitfield, bit by bit.
-    out.replicas.assign(index_->count(), 0);
-    for (const auto& peer : peers_) {
-      if (!peer->online()) continue;
-      const Bitfield& have = peer->have();
-      const std::size_t bits = std::min(have.size(), out.replicas.size());
-      for (std::size_t i = 0; i < bits; ++i) {
-        if (have.get(i)) ++out.replicas[i];
-      }
-    }
-  } else {
-    out.replicas.assign(replicas_.begin(), replicas_.end());
-  }
+  out.replicas.assign(replicas_.begin(), replicas_.end());
   for (const auto& peer : peers_) {
     if (peer->is_seeder()) {
       out.seeder_active_uploads = peer->active_uploads();
@@ -221,7 +192,6 @@ obs::SwarmObservation Swarm::observe() const {
   // progress, so sampled goodput stays smooth under lazy settlement.
   out.network_bytes_delivered = network_.bytes_delivered();
   const net::NetworkStats& net_stats = network_.stats();
-  out.reallocations_scoped = net_stats.reallocations_scoped;
   out.flows_retouched = net_stats.flows_retouched;
   out.flows_active_integral = net_stats.flows_active_integral;
   out.flows_settled = net_stats.flows_settled;

@@ -52,13 +52,13 @@ class Swarm {
                        LeecherConfig config);
 
   /// Peer lookup; nullptr when the node hosts no peer. O(1) through a
-  /// dense node-indexed table (linear scan in brute-force oracle mode).
+  /// dense node-indexed table.
   [[nodiscard]] Peer* find(net::NodeId node);
   [[nodiscard]] const Peer* find(net::NodeId node) const;
 
   /// Struct-of-arrays liveness probe: one dense byte per node id, no
   /// peer-object dereference. The scheduler's candidate sweeps use this
-  /// on the fast path (the brute-force oracle keeps find()->online()).
+  /// on the fast path (the brute-force oracle reads find()->online()).
   [[nodiscard]] bool node_online(net::NodeId node) const {
     return node.value < online_.size() && online_[node.value] != 0;
   }
@@ -69,9 +69,14 @@ class Swarm {
     return *playlist_text_;
   }
   [[nodiscard]] MessagePool& message_pool() { return pool_; }
-  /// True when every control message must take the encode→decode
-  /// oracle path (VSPLICE_WIRE_ROUNDTRIP=1 in the environment; per-peer
-  /// opt-in lives in PeerConfig::codec_roundtrip).
+  /// Wire-format oracle: every control message is encoded at send,
+  /// decoded at delivery and asserted equal to the original before
+  /// dispatch. The fast path (default) moves the Message variant through
+  /// the delivery queue with no codec work; both paths charge the
+  /// connection the same encoded byte count, so results are
+  /// byte-identical either way. Starts on when VSPLICE_WIRE_ROUNDTRIP=1
+  /// is in the environment.
+  void set_codec_roundtrip(bool on) { codec_roundtrip_ = on; }
   [[nodiscard]] bool codec_roundtrip() const { return codec_roundtrip_; }
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] sim::Simulator& simulator() {
@@ -95,8 +100,7 @@ class Swarm {
   /// player/pool/in-flight state, per-segment replica counts across
   /// online peers, seeder load, and the network's cumulative byte
   /// counters. Replica counts are read from the incrementally maintained
-  /// counters (rebuilt from every peer bitfield only in brute-force
-  /// oracle mode).
+  /// counters.
   [[nodiscard]] obs::SwarmObservation observe() const;
 
   /// Per-subsystem byte gauges over everything this swarm (and its
@@ -107,10 +111,9 @@ class Swarm {
   /// deterministic (see obs/resource.h).
   [[nodiscard]] obs::MemoryBreakdown memory_breakdown() const;
 
-  /// Selects the retained pre-change code paths (linear peer lookup,
-  /// full replica-histogram rebuild in observe, and every leecher's
-  /// linear segment/peer scans); the differential tests and bench_scale
-  /// use them as the oracle against the incremental structures.
+  /// Selects every leecher's retained linear segment/peer scans; the
+  /// differential tests use them as the oracle against the incremental
+  /// structures.
   void set_brute_force_oracle(bool on) { brute_force_ = on; }
   [[nodiscard]] bool brute_force_oracle() const { return brute_force_; }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "net/cross_traffic.h"
 
 namespace vsplice::net {
 namespace {
@@ -274,53 +273,6 @@ TEST(Connection, LossMakesHandshakeSlowerOnAverage) {
   // With ~51% pair loss per packet and a 1 s RTO the mean handshake far
   // exceeds the lossless 0.2 s RTT.
   EXPECT_GT(total / 200.0, 0.8);
-}
-
-TEST(CrossTraffic, BurstsConsumeBandwidth) {
-  Fixture f;
-  CrossTraffic::Params params;
-  params.burst_size = 50'000;
-  params.mean_gap = Duration::seconds(1);
-  CrossTraffic traffic{f.net, f.rng, f.client, f.server, params};
-  traffic.start();
-  f.sim.run_until(TimePoint::from_seconds(60));
-  traffic.stop();
-  EXPECT_GT(traffic.bursts_completed(), 10u);
-  EXPECT_GE(traffic.bytes_transferred(),
-            static_cast<Bytes>(traffic.bursts_completed()) * 50'000);
-  const auto completed = traffic.bursts_completed();
-  f.sim.run_until(TimePoint::from_seconds(120));
-  EXPECT_EQ(traffic.bursts_completed(), completed);  // stopped means stopped
-}
-
-TEST(CrossTraffic, SqueezesForegroundFlow) {
-  Fixture f;
-  double alone = 0;
-  {
-    sim::Simulator sim2;
-    Network net2{sim2};
-    NodeSpec spec;
-    spec.uplink = Rate::kilobytes_per_second(100);
-    spec.downlink = Rate::kilobytes_per_second(100);
-    spec.one_way_delay = Duration::millis(50);
-    const NodeId a = net2.add_node(spec);
-    const NodeId b = net2.add_node(spec);
-    net2.start_flow(a, b, 500'000, Rate::infinity(),
-                    {[&] { alone = sim2.now().as_seconds(); }, nullptr});
-    sim2.run();
-  }
-  // Same transfer with aggressive cross traffic on the same links.
-  CrossTraffic::Params params;
-  params.burst_size = 200'000;
-  params.mean_gap = Duration::millis(100);
-  CrossTraffic traffic{f.net, f.rng, f.client, f.server, params};
-  traffic.start();
-  double contended = 0;
-  f.net.start_flow(f.client, f.server, 500'000, Rate::infinity(),
-                   {[&] { contended = f.sim.now().as_seconds(); }, nullptr});
-  f.sim.run_until(TimePoint::from_seconds(120));
-  traffic.stop();
-  EXPECT_GT(contended, alone * 1.3);
 }
 
 }  // namespace

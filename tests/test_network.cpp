@@ -105,25 +105,6 @@ TEST(Network, ShortFlowFreesBandwidthForLongFlow) {
   EXPECT_NEAR(t_long, 4.0, 1e-2);
 }
 
-TEST(Network, HubCapacityConstrainsAggregate) {
-  Fixture f;
-  f.net.set_hub_capacity(Rate::kilobytes_per_second(60));
-  const NodeId a = f.net.add_node(make_node(100));
-  const NodeId b = f.net.add_node(make_node(100));
-  const NodeId c = f.net.add_node(make_node(100));
-  const NodeId d = f.net.add_node(make_node(100));
-  double t1 = 0;
-  double t2 = 0;
-  f.net.start_flow(a, b, 60'000, Rate::infinity(),
-                   {[&] { t1 = f.sim.now().as_seconds(); }, nullptr});
-  f.net.start_flow(c, d, 60'000, Rate::infinity(),
-                   {[&] { t2 = f.sim.now().as_seconds(); }, nullptr});
-  f.sim.run();
-  // Disjoint endpoints, but the shared trunk (60 kB/s) halves each flow.
-  EXPECT_NEAR(t1, 2.0, 1e-2);
-  EXPECT_NEAR(t2, 2.0, 1e-2);
-}
-
 TEST(Network, AbortReportsDeliveredBytes) {
   Fixture f;
   const NodeId a = f.net.add_node(make_node(100));

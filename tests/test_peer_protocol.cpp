@@ -41,7 +41,6 @@ struct ProtoFixture {
                                     playlist);
     PeerConfig config;
     config.max_upload_slots = 1;
-    config.max_request_queue = 1;
     seeder = &swarm->add_seeder(seeder_node, config);
     // Host a real (never-joined) peer on the requesting node so the
     // seeder's queue recognizes it as a live client.

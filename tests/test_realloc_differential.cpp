@@ -50,12 +50,7 @@ std::vector<std::string> run_sequence(std::uint64_t seed, bool full) {
 
   sim::Simulator sim;
   sim.set_event_limit(2'000'000);  // safety valve: a hang fails loudly
-  TcpParams tcp;
-  // Half the seeds exercise the parallel-TCP downlink derate, where the
-  // scoped path maintains effective capacities incrementally and the
-  // oracle recomputes them from scratch.
-  tcp.parallel_loss_factor = rng.bernoulli(0.5) ? 0.05 : 0.0;
-  Network net{sim, tcp};
+  Network net{sim};
   net.set_full_reallocation(full);
 
   constexpr std::size_t kNodes = 6;
@@ -181,7 +176,6 @@ std::vector<std::string> run_sequence(std::uint64_t seed, bool full) {
       " completed=" + std::to_string(stats.flows_completed) +
       " aborted=" + std::to_string(stats.flows_aborted) +
       " reallocations=" + std::to_string(stats.reallocations) +
-      " scoped=" + std::to_string(stats.reallocations_scoped) +
       " retouched=" + std::to_string(stats.flows_retouched) +
       " active_integral=" + std::to_string(stats.flows_active_integral) +
       " settled=" + std::to_string(stats.flows_settled) +
@@ -215,9 +209,7 @@ TEST(ReallocDifferential, AbortFlowsForMidWaveChurn) {
   const auto run = [](bool full) {
     std::vector<std::string> log;
     sim::Simulator sim;
-    TcpParams tcp;
-    tcp.parallel_loss_factor = 0.05;
-    Network net{sim, tcp};
+    Network net{sim};
     net.set_full_reallocation(full);
 
     std::vector<NodeId> nodes;
@@ -390,8 +382,6 @@ void expect_identical_figures(const experiments::ScenarioResult& oracle,
   EXPECT_EQ(oracle.heap_high_water, scoped.heap_high_water) << label;
   EXPECT_EQ(oracle.heap_compactions, scoped.heap_compactions) << label;
   EXPECT_EQ(oracle.reallocations, scoped.reallocations) << label;
-  EXPECT_EQ(oracle.reallocations_scoped, scoped.reallocations_scoped)
-      << label;
   EXPECT_EQ(oracle.flows_retouched, scoped.flows_retouched) << label;
   EXPECT_EQ(oracle.reallocate_touched_flows_ratio,
             scoped.reallocate_touched_flows_ratio)
@@ -446,7 +436,7 @@ TEST(ReallocDifferential, QuickstartConfigsIdenticalScopedVsFull) {
       // Sanity: real runs in which scoping engaged and paid.
       EXPECT_EQ(scoped.viewer_count, 19u) << label;
       EXPECT_GT(scoped.finished_viewers, 0u) << label;
-      EXPECT_GT(scoped.reallocations_scoped, 0u) << label;
+      EXPECT_GT(scoped.reallocations, 0u) << label;
       EXPECT_GT(scoped.reallocate_touched_flows_ratio, 0.0) << label;
       EXPECT_LT(scoped.reallocate_touched_flows_ratio, 1.0) << label;
     }

@@ -1,8 +1,8 @@
 // Large-swarm scheduling engine: differential tests proving the
-// incremental structures (word-packed bitfields, replica counters,
-// holder lists, O(1) swarm lookup, reservoir announces) make exactly
-// the same decisions as the retained brute-force path — plus the
-// choke-storm regressions around Leecher::on_choke.
+// incremental structures (word-packed bitfields, holder lists,
+// reservoir announces) make exactly the same decisions as the retained
+// brute-force path, that the replica counters equal a from-scratch
+// rebuild — plus the choke-storm regressions around Leecher::on_choke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,19 +73,25 @@ experiments::ScenarioConfig paper_config() {
 }
 
 TEST(SchedulingDifferential, PaperConfigIdenticalToBruteForce) {
-  experiments::ScenarioConfig oracle_config = paper_config();
-  oracle_config.brute_force_scheduling = true;
-  const auto oracle = experiments::run_scenario(oracle_config);
+  // The paper's twenty VMs, and a 100-peer, 240 s swarm in which each
+  // leecher learns only announce_max_peers (50) of the others, so its
+  // holder lists track a partial view of the swarm.
+  experiments::ScenarioConfig wide = paper_config();
+  wide.nodes = 100;
+  wide.time_limit = Duration::seconds(240.0);
+  for (const experiments::ScenarioConfig& config : {paper_config(), wide}) {
+    SCOPED_TRACE(std::to_string(config.nodes) + " peers");
+    experiments::ScenarioConfig oracle_config = config;
+    oracle_config.brute_force_scheduling = true;
+    const auto oracle = experiments::run_scenario(oracle_config);
+    const auto fast = experiments::run_scenario(config);
 
-  experiments::ScenarioConfig fast_config = paper_config();
-  fast_config.brute_force_scheduling = false;
-  const auto fast = experiments::run_scenario(fast_config);
-
-  expect_identical_runs(oracle, fast);
-  // Sanity: this was a real run, not two empty ones agreeing.
-  EXPECT_EQ(fast.viewer_count, 19u);
-  EXPECT_GT(fast.segment_picks, 0u);
-  EXPECT_GT(fast.finished_viewers, 0u);
+    expect_identical_runs(oracle, fast);
+    // Sanity: this was a real run, not two empty ones agreeing.
+    EXPECT_EQ(fast.viewer_count, config.nodes - 1);
+    EXPECT_GT(fast.segment_picks, 0u);
+    EXPECT_GT(fast.finished_viewers, 0u);
+  }
 }
 
 TEST(SchedulingDifferential, ChurnIdenticalToBruteForce) {
@@ -153,24 +159,30 @@ struct MiniSwarm {
     sim.run_until(sim.now() + span);
   }
 
-  /// The incrementally maintained replica counters must always equal a
-  /// from-scratch rebuild over every online peer's bitfield.
+  /// The incrementally maintained replica counters — and the snapshot
+  /// observe() hands the sampler — must always equal a from-scratch
+  /// rebuild over every online peer's bitfield, bit by bit.
   void expect_counters_match_rebuild() {
-    const bool was_brute = swarm->brute_force_oracle();
-    swarm->set_brute_force_oracle(true);
-    const obs::SwarmObservation rebuilt = swarm->observe();
-    swarm->set_brute_force_oracle(false);
-    const obs::SwarmObservation incremental = swarm->observe();
-    swarm->set_brute_force_oracle(was_brute);
-    ASSERT_EQ(rebuilt.replicas.size(), incremental.replicas.size());
-    EXPECT_EQ(rebuilt.replicas, incremental.replicas);
+    std::vector<std::size_t> rebuilt(swarm->index().count(), 0);
+    const auto add = [&rebuilt](const Peer& peer) {
+      if (!peer.online()) return;
+      const Bitfield& have = peer.have();
+      for (std::size_t i = 0; i < std::min(have.size(), rebuilt.size());
+           ++i) {
+        if (have.get(i)) ++rebuilt[i];
+      }
+    };
+    add(*swarm->find(swarm->seeder_node()));
+    for (const Leecher* leecher : swarm->leechers()) add(*leecher);
 
-    std::size_t lo =
-        incremental.replicas.empty() ? 0 : incremental.replicas.front();
-    for (const auto r : incremental.replicas) {
-      lo = std::min<std::size_t>(lo, r);
-    }
-    EXPECT_EQ(swarm->min_replicas(), lo);
+    const std::vector<std::uint32_t>& counts = swarm->replica_counts();
+    EXPECT_EQ(std::vector<std::size_t>(counts.begin(), counts.end()),
+              rebuilt);
+    EXPECT_EQ(swarm->observe().replicas, rebuilt);
+    EXPECT_EQ(swarm->min_replicas(),
+              rebuilt.empty()
+                  ? 0
+                  : *std::min_element(rebuilt.begin(), rebuilt.end()));
   }
 
   sim::Simulator sim;

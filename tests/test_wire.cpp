@@ -215,9 +215,10 @@ struct MiniSwarm {
     const net::NodeId seeder_node = network.add_node(spec);
     swarm = std::make_unique<Swarm>(network, rng, std::move(index),
                                     playlist);
+    // Left alone when false, so VSPLICE_WIRE_ROUNDTRIP still decides.
+    if (roundtrip) swarm->set_codec_roundtrip(true);
     PeerConfig peer_config;
     peer_config.max_upload_slots = 2;
-    peer_config.codec_roundtrip = roundtrip;
     swarm->add_seeder(seeder_node, peer_config);
 
     const auto policy = std::shared_ptr<const core::PoolPolicy>(
@@ -304,7 +305,7 @@ TEST(WireOracle, FastPathCarriesTrafficThroughThePool) {
 
 TEST(WireOracle, EnvironmentVariableForcesRoundtrip) {
   ScopedWireEnv pin_oracle{"1"};
-  MiniSwarm mini{/*roundtrip=*/false};  // per-peer flag off: env decides
+  MiniSwarm mini{/*roundtrip=*/false};  // setter not called: env decides
   EXPECT_TRUE(mini.swarm->codec_roundtrip());
   mini.sim.run_until(TimePoint::from_seconds(10));
   const SwarmStats& stats = mini.swarm->stats();
